@@ -57,14 +57,16 @@ std::string QuizSession::render_quiz_text() const {
   std::string out =
       "Floating point quiz (answer True / False / Don't Know)\n\n";
   int n = 1;
+  // Appended piecewise: GCC 12 reports -Wrestrict false positives on
+  // "literal" + std::string temporaries.
   for (const auto& q : core_questions()) {
-    out += "Q" + std::to_string(n++) + ".\n";
-    out += "    " + std::string(q.snippet) + "\n";
-    out += "  Claim: " + std::string(q.assertion) + "\n\n";
+    out.append("Q").append(std::to_string(n++)).append(".\n");
+    out.append("    ").append(q.snippet).append("\n");
+    out.append("  Claim: ").append(q.assertion).append("\n\n");
   }
   for (const auto& q : opt_questions()) {
-    out += "Q" + std::to_string(n++) + ".\n";
-    out += "  " + std::string(q.prompt) + "\n";
+    out.append("Q").append(std::to_string(n++)).append(".\n");
+    out.append("  ").append(q.prompt).append("\n");
     if (!q.is_true_false) {
       out += "  Options:";
       for (std::size_t c = 0; c < kOptLevelChoiceCount; ++c) {

@@ -191,6 +191,14 @@ Expr Expr::horner(std::span<const double> coeffs, Expr x) {
 
 std::string Expr::to_string() const {
   const Node& n = *node_;
+  // Built with append: GCC 12 reports -Wrestrict false positives on
+  // operator+ chains over temporary strings.
+  const auto child = [&](std::size_t i) { return n.children[i].to_string(); };
+  const auto infix = [&](const char* op) {
+    std::string s = "(";
+    s.append(child(0)).append(op).append(child(1)).append(")");
+    return s;
+  };
   switch (n.kind) {
     case Kind::kConst: {
       char buf[32];
@@ -200,31 +208,29 @@ std::string Expr::to_string() const {
     case Kind::kVar:
       return n.var_name;
     case Kind::kNeg:
-      return "-" + n.children[0].to_string();
+      return std::string("-").append(child(0));
     case Kind::kAdd:
-      return "(" + n.children[0].to_string() + " + " +
-             n.children[1].to_string() + ")";
+      return infix(" + ");
     case Kind::kSub:
-      return "(" + n.children[0].to_string() + " - " +
-             n.children[1].to_string() + ")";
+      return infix(" - ");
     case Kind::kMul:
-      return "(" + n.children[0].to_string() + " * " +
-             n.children[1].to_string() + ")";
+      return infix(" * ");
     case Kind::kDiv:
-      return "(" + n.children[0].to_string() + " / " +
-             n.children[1].to_string() + ")";
+      return infix(" / ");
     case Kind::kSqrt:
-      return "sqrt(" + n.children[0].to_string() + ")";
+      return std::string("sqrt(").append(child(0)).append(")");
     case Kind::kFma:
-      return "fma(" + n.children[0].to_string() + ", " +
-             n.children[1].to_string() + ", " + n.children[2].to_string() +
-             ")";
+      return std::string("fma(")
+          .append(child(0))
+          .append(", ")
+          .append(child(1))
+          .append(", ")
+          .append(child(2))
+          .append(")");
     case Kind::kCmpEq:
-      return "(" + n.children[0].to_string() + " == " +
-             n.children[1].to_string() + ")";
+      return infix(" == ");
     case Kind::kCmpLt:
-      return "(" + n.children[0].to_string() + " < " +
-             n.children[1].to_string() + ")";
+      return infix(" < ");
   }
   return "?";
 }

@@ -208,7 +208,7 @@ V run_tape(const Tape& tape, Evaluator<V>& ev,
   for (std::size_t pc = 0; pc < code.size(); ++pc) {
     const TapeInst& in = code[pc];
     const Expr& e = tape.source(pc);
-    V out;
+    V out{};
     switch (in.op) {
       case TapeOp::kConst:
         out = ev.constant(e);

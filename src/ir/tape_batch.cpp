@@ -1,16 +1,14 @@
 #include "ir/tape_batch.hpp"
 
-#include <cfenv>
-#include <cmath>
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "fpmon/flow.hpp"
-#include "ir/native_ops.hpp"
 #include "parallel/result_cache.hpp"
 #include "parallel/shard.hpp"
 #include "softfloat/batch.hpp"
-#include "softfloat/fast16.hpp"
-#include "softfloat/fast32.hpp"
+#include "softfloat/fast.hpp"
 #include "softfloat/kernels.hpp"
 
 namespace fpq::ir {
@@ -101,578 +99,163 @@ void run_soft_lanes(const Tape& t, const double* values, std::size_t width,
   }
 }
 
-// The binary16 hot path: lanes hold binary16 VALUES as native doubles,
-// ops run on the host FPU (pinned to round-to-nearest below) and fold
-// back in-format through the scalar engine's own round/pack core — see
-// softfloat/fast16.hpp for why every step is bit- and flag-identical to
-// the softfloat operations. Lanes with special operands (NaN, infinity,
-// division by zero, sqrt of a negative) drop to the scalar softfloat op,
-// which keeps NaN payload propagation and invalid/divide-by-zero flags
-// canonical without slowing the overwhelmingly common finite lanes.
-void run_fast16_block(const Tape& t, const double* values, std::size_t width,
-                      std::size_t begin, std::size_t end, Outcome* out) {
-  namespace f16 = sf::fast16;
-  using F16 = sf::Float16;
-  const std::size_t lanes = end - begin;
+/// fast.hpp lane storage for the tape: in-format values held as native
+/// doubles, results folded through the scalar engine's round/pack core.
+template <int kBits>
+struct Widened {
+  using Value = double;
+  sf::Rounding mode;
+  bool daz;
+  static double load(double v) noexcept { return v; }
+  static sf::Float<kBits> encoding(double v) noexcept {
+    return sf::fast::to_f<kBits>(v);
+  }
+  static double store(sf::Float<kBits> r) noexcept {
+    return sf::fast::widen(r);
+  }
+  static double zero(bool negative) noexcept { return negative ? -0.0 : 0.0; }
+  double fold(double v, sf::Env& env, unsigned& fl) const noexcept {
+    env.clear_flags();
+    const double r = sf::fast::round<kBits>(v, env);
+    fl |= env.flags();
+    return r;
+  }
+};
+
+// The binary16/binary32 hot path: lanes hold in-format VALUES as native
+// doubles, ops run on the host FPU and fold back in-format through the
+// scalar engine's own round/pack core — see softfloat/fast.hpp for why
+// every step is bit- and flag-identical to the softfloat operations. Lanes
+// with special operands (NaN, infinity, division by zero, sqrt of a
+// negative) drop to the scalar softfloat op, which keeps NaN payload
+// propagation and invalid/divide-by-zero flags canonical without slowing
+// the overwhelmingly common finite lanes.
+//
+// Per-instruction passes stream every register array once, so lanes run
+// in blocks that keep the whole register file in L1 instead of
+// round-tripping a chunk-sized array through L2/L3 per opcode.
+// Independent lanes: blocking cannot change results. Native arithmetic
+// needs round-to-nearest and must not leak host exception flags to the
+// caller, so the fenv is pinned for the whole range and restored on exit,
+// also when a block throws.
+template <int kBits>
+void run_fast_lanes(const Tape& t, const double* values, std::size_t width,
+                    std::size_t begin, std::size_t end, Outcome* out) {
+  namespace fast = sf::fast;
+  using F = sf::Float<kBits>;
+  using Storage = typename F::Storage;
+  constexpr std::size_t kBlock = 1024;
+  const fast::FenvPin pin;
   const EvalConfig& cfg = t.config();
   const sf::Rounding mode = cfg.rounding;
-  const bool daz = cfg.denormals_are_zero;
+  const Widened<kBits> s{mode, cfg.denormals_are_zero};
   sf::Env env(mode);  // op env: FTZ/DAZ live, flags read per lane
   env.set_flush_to_zero(cfg.flush_to_zero);
-  env.set_denormals_are_zero(daz);
+  env.set_denormals_are_zero(s.daz);
   sf::Env quiet(mode);  // operand-narrowing env: flags discarded, no FTZ
-  quiet.set_denormals_are_zero(daz);
+  quiet.set_denormals_are_zero(s.daz);
 
-  std::vector<double> regs(t.register_count() * lanes);
-  std::vector<unsigned> flags(lanes, 0);
+  const std::size_t block = std::min(kBlock, end - begin);
+  std::vector<double> regs(t.register_count() * block);
+  std::vector<unsigned> flags(block);
   const std::span<const std::uint64_t> pool = t.constant_bits();
 
-  for (const TapeInst& in : t.code()) {
-    double* d = regs.data() + std::size_t{in.dst} * lanes;
-    const double* a = regs.data() + std::size_t{in.a} * lanes;
-    const double* b = regs.data() + std::size_t{in.b} * lanes;
-    const double* c = regs.data() + std::size_t{in.c} * lanes;
-    switch (in.op) {
-      case TapeOp::kConst: {
-        const double v =
-            f16::widen(F16::from_bits(static_cast<std::uint16_t>(pool[in.a])));
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = v;
-        break;
-      }
-      case TapeOp::kVar:
+  for (std::size_t first = begin; first < end; first += block) {
+    const std::size_t lanes = std::min(block, end - first);
+    std::fill_n(flags.begin(), lanes, 0u);
+    for (const TapeInst& in : t.code()) {
+      double* d = regs.data() + std::size_t{in.dst} * lanes;
+      const double* a = regs.data() + std::size_t{in.a} * lanes;
+      const double* b = regs.data() + std::size_t{in.b} * lanes;
+      const double* c = regs.data() + std::size_t{in.c} * lanes;
+      // One fast.hpp lane body per lane; the body ORs the lane's flags.
+      const auto each_lane = [&](auto body) {
         for (std::size_t l = 0; l < lanes; ++l) {
-          const double x = values[(begin + l) * width + in.a];
-          const std::uint64_t xb = std::bit_cast<std::uint64_t>(x);
-          const auto be = (xb >> 52) & 0x7FF;
-          if (be == 0) {  // signed zero or double-subnormal (DAZ range)
-            d[l] = (xb << 1) == 0 ? x : f16::widen(sf::convert<16>(
-                                            sf::from_native(x), quiet));
-            continue;
-          }
-          if (be == 0x7FF) {  // infinity / NaN: quieting narrow
-            d[l] = f16::widen(sf::convert<16>(sf::from_native(x), quiet));
-            continue;
-          }
-          d[l] = f16::narrow16_value(x, mode);  // flags discarded
-        }
-        break;
-      case TapeOp::kNeg:
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = f16::flip_sign(a[l]);
-        break;
-      case TapeOp::kAdd:
-      case TapeOp::kSub: {
-        const bool is_sub = in.op == TapeOp::kSub;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (!(f16::is_finite(av) && f16::is_finite(bv))) {
-            env.clear_flags();
-            const F16 r = is_sub
-                              ? sf::sub(f16::to_f16(av), f16::to_f16(bv), env)
-                              : sf::add(f16::to_f16(av), f16::to_f16(bv), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
           unsigned f = 0;
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-          } else if (f16::is_subnormal16(av) || f16::is_subnormal16(bv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double s = is_sub ? av - bv : av + bv;  // exact in double
-          if (s == 0.0) {
-            const bool sa = std::signbit(av);
-            const bool sb = std::signbit(bv) != is_sub;  // addend sign
-            const bool zs = (av == 0.0 && bv == 0.0 && sa == sb)
-                                ? sa
-                                : f16::exact_zero_sign(mode);
-            d[l] = zs ? -0.0 : 0.0;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f16::round16(s, env);
-          flags[l] |= f | env.flags();
+          d[l] = body(l, f);
+          flags[l] |= f;
         }
-        break;
-      }
-      case TapeOp::kMul:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (!(f16::is_finite(av) && f16::is_finite(bv))) {
-            env.clear_flags();
-            const F16 r = sf::mul(f16::to_f16(av), f16::to_f16(bv), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-          } else if (f16::is_subnormal16(av) || f16::is_subnormal16(bv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double s = av * bv;  // exact: 11+11 significand bits
-          if (s == 0.0) {            // sign is the XOR the standard wants
-            d[l] = s;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f16::round16(s, env);
-          flags[l] |= f | env.flags();
+      };
+      switch (in.op) {
+        case TapeOp::kConst: {
+          const double v =
+              fast::widen(F::from_bits(static_cast<Storage>(pool[in.a])));
+          std::fill_n(d, lanes, v);
+          break;
         }
-        break;
-      case TapeOp::kDiv:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          unsigned f = 0;
-          bool slow = !(f16::is_finite(av) && f16::is_finite(bv));
-          if (!slow) {
-            if (daz) {
-              av = f16::daz16(av);
-              bv = f16::daz16(bv);
-            } else if (f16::is_subnormal16(av) || f16::is_subnormal16(bv)) {
-              f = sf::kFlagDenormalInput;
+        case TapeOp::kVar:
+          for (std::size_t l = 0; l < lanes; ++l) {
+            const double x = values[(first + l) * width + in.a];
+            const std::uint64_t xb = std::bit_cast<std::uint64_t>(x);
+            const auto be = (xb >> 52) & 0x7FF;
+            if (be != 0 && be != 0x7FF) {
+              d[l] = fast::narrow_value<kBits>(x, mode);  // flags discarded
+            } else if ((xb << 1) == 0) {
+              d[l] = x;  // signed zero
+            } else {  // double-subnormal (DAZ range), infinity, NaN
+              d[l] = fast::widen(sf::convert<kBits>(sf::from_native(x), quiet));
             }
-            slow = bv == 0.0;  // divide-by-zero / 0 over 0: canonical path
           }
-          if (slow) {
-            env.clear_flags();
-            const F16 r = sf::div(f16::to_f16(a[l]), f16::to_f16(b[l]), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
-          const double s = av / bv;  // correctly rounded; narrow innocuous
-          if (s == 0.0) {
-            d[l] = s;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f16::round16(s, env);
-          flags[l] |= f | env.flags();
+          break;
+        case TapeOp::kNeg:
+          for (std::size_t l = 0; l < lanes; ++l) d[l] = fast::flip_sign(a[l]);
+          break;
+        case TapeOp::kAdd:
+        case TapeOp::kSub: {
+          const bool is_sub = in.op == TapeOp::kSub;
+          each_lane([&](std::size_t l, unsigned& f) {
+            return fast::add_lane<kBits>(s, a[l], b[l], is_sub, env, f);
+          });
+          break;
         }
-        break;
-      case TapeOp::kSqrt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double xv = a[l];
-          unsigned f = 0;
-          bool slow = !f16::is_finite(xv);
-          if (!slow) {
-            if (daz) {
-              xv = f16::daz16(xv);
-            } else if (f16::is_subnormal16(xv)) {
-              f = sf::kFlagDenormalInput;
+        case TapeOp::kMul:
+          each_lane([&](std::size_t l, unsigned& f) {
+            return fast::mul_lane<kBits>(s, a[l], b[l], env, f);
+          });
+          break;
+        case TapeOp::kDiv:
+          each_lane([&](std::size_t l, unsigned& f) {
+            return fast::div_lane<kBits>(s, a[l], b[l], env, f);
+          });
+          break;
+        case TapeOp::kSqrt:
+          each_lane([&](std::size_t l, unsigned& f) {
+            return fast::sqrt_lane<kBits>(s, a[l], env, f);
+          });
+          break;
+        case TapeOp::kFma:
+          each_lane([&](std::size_t l, unsigned& f) {
+            return fast::fma_lane<kBits>(s, a[l], b[l], c[l], env, f);
+          });
+          break;
+        case TapeOp::kCmpEq:
+        case TapeOp::kCmpLt: {
+          const bool is_lt = in.op == TapeOp::kCmpLt;
+          each_lane([&](std::size_t l, unsigned& f) {
+            double av = a[l], bv = b[l];
+            if (av != av || bv != bv) {  // unordered; sNaN cannot be in-lane
+              if (is_lt) f = sf::kFlagInvalid;  // signaling predicate
+              return 0.0;
             }
-            slow = std::signbit(xv) && xv != 0.0;  // invalid: canonical NaN
-          }
-          if (slow) {
-            env.clear_flags();
-            const F16 r = sf::sqrt(f16::to_f16(a[l]), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
-          if (xv == 0.0) {  // sqrt(±0) = ±0, exact
-            d[l] = xv;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f16::round16(std::sqrt(xv), env);
-          flags[l] |= f | env.flags();
+            if (s.daz) {  // comparisons raise no DE flag
+              av = fast::daz<kBits>(av);
+              bv = fast::daz<kBits>(bv);
+            }
+            return (is_lt ? av < bv : av == bv) ? 1.0 : 0.0;
+          });
+          break;
         }
-        break;
-      case TapeOp::kFma:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l], cv = c[l];
-          if (!(f16::is_finite(av) && f16::is_finite(bv) &&
-                f16::is_finite(cv))) {
-            env.clear_flags();
-            const F16 r = sf::fma(f16::to_f16(av), f16::to_f16(bv),
-                                  f16::to_f16(cv), env);
-            flags[l] |= env.flags();
-            d[l] = f16::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-            cv = f16::daz16(cv);
-          } else if (f16::is_subnormal16(av) || f16::is_subnormal16(bv) ||
-                     f16::is_subnormal16(cv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double t = av * bv;  // exact product
-          const double s = t + cv;
-          if (s == 0.0) {  // exact zero: |t + cv| >= 2^-48 when nonzero
-            const bool psign = std::signbit(av) != std::signbit(bv);
-            const bool zs = ((av == 0.0 || bv == 0.0) && cv == 0.0 &&
-                             psign == std::signbit(cv))
-                                ? psign
-                                : f16::exact_zero_sign(mode);
-            d[l] = zs ? -0.0 : 0.0;
-            flags[l] |= f;
-            continue;
-          }
-          // TwoSum error term; if the sum was inexact at binary64,
-          // compress to round-to-odd so the in-format rounding sees which
-          // side of every boundary the exact value is on.
-          const double bb = s - t;
-          const double err = (t - (s - bb)) + (cv - bb);
-          double ro = s;
-          if (err != 0.0 && (std::bit_cast<std::uint64_t>(s) & 1) == 0) {
-            ro = f16::step_toward(s, err);
-          }
-          env.clear_flags();
-          d[l] = f16::round16(ro, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kCmpEq:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (av != av || bv != bv) {  // unordered; sNaN cannot be in-lane
-            d[l] = 0.0;
-            continue;
-          }
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-          }
-          d[l] = av == bv ? 1.0 : 0.0;  // comparisons raise no DE flag
-        }
-        break;
-      case TapeOp::kCmpLt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (av != av || bv != bv) {  // signaling predicate: invalid
-            flags[l] |= sf::kFlagInvalid;
-            d[l] = 0.0;
-            continue;
-          }
-          if (daz) {
-            av = f16::daz16(av);
-            bv = f16::daz16(bv);
-          }
-          d[l] = av < bv ? 1.0 : 0.0;
-        }
-        break;
+      }
+    }
+
+    const double* result =
+        regs.data() + std::size_t{t.result_register()} * lanes;
+    Outcome* o = out + (first - begin);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      o[l].value = sf::from_native(result[l]);
+      o[l].flags = flags[l];
     }
   }
-
-  const double* result =
-      regs.data() + std::size_t{t.result_register()} * lanes;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    out[l].value = sf::from_native(result[l]);
-    out[l].flags = flags[l];
-  }
-}
-
-// Per-instruction passes stream every register array once, so block lanes
-// to keep the whole register file in L1 instead of round-tripping a
-// chunk-sized array through L2/L3 per opcode. Independent lanes: blocking
-// cannot change results. Native arithmetic in the blocks requires
-// round-to-nearest and must not leak host exception flags to the caller,
-// so the whole fenv is saved around the sweep and restored after.
-void run_fast16_lanes(const Tape& t, const double* values, std::size_t width,
-                      std::size_t begin, std::size_t end, Outcome* out) {
-  constexpr std::size_t kBlock = 1024;
-  fenv_t saved_fenv;
-  std::fegetenv(&saved_fenv);
-  std::fesetround(FE_TONEAREST);
-  for (std::size_t b = begin; b < end; b += kBlock) {
-    const std::size_t e = b + kBlock < end ? b + kBlock : end;
-    run_fast16_block(t, values, width, b, e, out + (b - begin));
-  }
-  std::fesetenv(&saved_fenv);
-}
-
-// The binary32 hot path: the same native-double technique as
-// run_fast16_block, with the headroom arguments adjusted for the wider
-// format (softfloat/fast32.hpp): mul stays exact in binary64, add/sub/fma
-// compress the sum through TwoSum + round-to-odd before folding back, and
-// div/sqrt lean on the innocuous-double-rounding bound 53 >= 2*24 + 2.
-// Fold-back goes through fast32::round32 — detail::round_pack<32>, the
-// scalar engine's own core — so all five modes, FTZ tininess handling and
-// flag raises are the scalar engine's by construction.
-void run_fast32_block(const Tape& t, const double* values, std::size_t width,
-                      std::size_t begin, std::size_t end, Outcome* out) {
-  namespace f32 = sf::fast32;
-  using F32 = sf::Float32;
-  const std::size_t lanes = end - begin;
-  const EvalConfig& cfg = t.config();
-  const sf::Rounding mode = cfg.rounding;
-  const bool daz = cfg.denormals_are_zero;
-  sf::Env env(mode);  // op env: FTZ/DAZ live, flags read per lane
-  env.set_flush_to_zero(cfg.flush_to_zero);
-  env.set_denormals_are_zero(daz);
-  sf::Env quiet(mode);  // operand-narrowing env: flags discarded, no FTZ
-  quiet.set_denormals_are_zero(daz);
-
-  std::vector<double> regs(t.register_count() * lanes);
-  std::vector<unsigned> flags(lanes, 0);
-  const std::span<const std::uint64_t> pool = t.constant_bits();
-
-  for (const TapeInst& in : t.code()) {
-    double* d = regs.data() + std::size_t{in.dst} * lanes;
-    const double* a = regs.data() + std::size_t{in.a} * lanes;
-    const double* b = regs.data() + std::size_t{in.b} * lanes;
-    const double* c = regs.data() + std::size_t{in.c} * lanes;
-    switch (in.op) {
-      case TapeOp::kConst: {
-        const double v =
-            f32::widen(F32::from_bits(static_cast<std::uint32_t>(pool[in.a])));
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = v;
-        break;
-      }
-      case TapeOp::kVar:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const double x = values[(begin + l) * width + in.a];
-          const std::uint64_t xb = std::bit_cast<std::uint64_t>(x);
-          const auto be = (xb >> 52) & 0x7FF;
-          if (be == 0) {  // signed zero or double-subnormal (DAZ range)
-            d[l] = (xb << 1) == 0 ? x : f32::widen(sf::convert<32>(
-                                            sf::from_native(x), quiet));
-            continue;
-          }
-          if (be == 0x7FF) {  // infinity / NaN: quieting narrow
-            d[l] = f32::widen(sf::convert<32>(sf::from_native(x), quiet));
-            continue;
-          }
-          d[l] = f32::narrow32_value(x, mode);  // flags discarded
-        }
-        break;
-      case TapeOp::kNeg:
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = f32::flip_sign(a[l]);
-        break;
-      case TapeOp::kAdd:
-      case TapeOp::kSub: {
-        const bool is_sub = in.op == TapeOp::kSub;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (!(f32::is_finite(av) && f32::is_finite(bv))) {
-            env.clear_flags();
-            const F32 r = is_sub
-                              ? sf::sub(f32::to_f32(av), f32::to_f32(bv), env)
-                              : sf::add(f32::to_f32(av), f32::to_f32(bv), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-          } else if (f32::is_subnormal32(av) || f32::is_subnormal32(bv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          if (is_sub) bv = f32::flip_sign(bv);
-          // NOT exact in binary64 (unlike binary16): compress through
-          // TwoSum + round-to-odd so folding back sees the exact sum's
-          // side of every binary32 rounding boundary.
-          const double s = f32::add_round_odd(av, bv);
-          if (s == 0.0) {
-            const bool sa = std::signbit(av);
-            const bool sb = std::signbit(bv);  // addend sign (already flipped)
-            const bool zs = (av == 0.0 && bv == 0.0 && sa == sb)
-                                ? sa
-                                : f32::exact_zero_sign(mode);
-            d[l] = zs ? -0.0 : 0.0;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      }
-      case TapeOp::kMul:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (!(f32::is_finite(av) && f32::is_finite(bv))) {
-            env.clear_flags();
-            const F32 r = sf::mul(f32::to_f32(av), f32::to_f32(bv), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-          } else if (f32::is_subnormal32(av) || f32::is_subnormal32(bv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double s = av * bv;  // exact: 24+24 significand bits
-          if (s == 0.0) {            // sign is the XOR the standard wants
-            d[l] = s;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kDiv:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          unsigned f = 0;
-          bool slow = !(f32::is_finite(av) && f32::is_finite(bv));
-          if (!slow) {
-            if (daz) {
-              av = f32::daz32(av);
-              bv = f32::daz32(bv);
-            } else if (f32::is_subnormal32(av) || f32::is_subnormal32(bv)) {
-              f = sf::kFlagDenormalInput;
-            }
-            slow = bv == 0.0;  // divide-by-zero / 0 over 0: canonical path
-          }
-          if (slow) {
-            env.clear_flags();
-            const F32 r = sf::div(f32::to_f32(a[l]), f32::to_f32(b[l]), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          const double s = av / bv;  // correctly rounded; narrow innocuous
-          if (s == 0.0) {
-            d[l] = s;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kSqrt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double xv = a[l];
-          unsigned f = 0;
-          bool slow = !f32::is_finite(xv);
-          if (!slow) {
-            if (daz) {
-              xv = f32::daz32(xv);
-            } else if (f32::is_subnormal32(xv)) {
-              f = sf::kFlagDenormalInput;
-            }
-            slow = std::signbit(xv) && xv != 0.0;  // invalid: canonical NaN
-          }
-          if (slow) {
-            env.clear_flags();
-            const F32 r = sf::sqrt(f32::to_f32(a[l]), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          if (xv == 0.0) {  // sqrt(±0) = ±0, exact
-            d[l] = xv;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(std::sqrt(xv), env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kFma:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l], cv = c[l];
-          if (!(f32::is_finite(av) && f32::is_finite(bv) &&
-                f32::is_finite(cv))) {
-            env.clear_flags();
-            const F32 r = sf::fma(f32::to_f32(av), f32::to_f32(bv),
-                                  f32::to_f32(cv), env);
-            flags[l] |= env.flags();
-            d[l] = f32::widen(r);
-            continue;
-          }
-          unsigned f = 0;
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-            cv = f32::daz32(cv);
-          } else if (f32::is_subnormal32(av) || f32::is_subnormal32(bv) ||
-                     f32::is_subnormal32(cv)) {
-            f = sf::kFlagDenormalInput;
-          }
-          const double t2 = av * bv;  // exact product
-          const double s = f32::add_round_odd(t2, cv);
-          if (s == 0.0) {  // exact zero: |t2 + cv| >= 2^-298 when nonzero
-            const bool psign = std::signbit(av) != std::signbit(bv);
-            const bool zs = ((av == 0.0 || bv == 0.0) && cv == 0.0 &&
-                             psign == std::signbit(cv))
-                                ? psign
-                                : f32::exact_zero_sign(mode);
-            d[l] = zs ? -0.0 : 0.0;
-            flags[l] |= f;
-            continue;
-          }
-          env.clear_flags();
-          d[l] = f32::round32(s, env);
-          flags[l] |= f | env.flags();
-        }
-        break;
-      case TapeOp::kCmpEq:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (av != av || bv != bv) {  // unordered; sNaN cannot be in-lane
-            d[l] = 0.0;
-            continue;
-          }
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-          }
-          d[l] = av == bv ? 1.0 : 0.0;  // comparisons raise no DE flag
-        }
-        break;
-      case TapeOp::kCmpLt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          double av = a[l], bv = b[l];
-          if (av != av || bv != bv) {  // signaling predicate: invalid
-            flags[l] |= sf::kFlagInvalid;
-            d[l] = 0.0;
-            continue;
-          }
-          if (daz) {
-            av = f32::daz32(av);
-            bv = f32::daz32(bv);
-          }
-          d[l] = av < bv ? 1.0 : 0.0;
-        }
-        break;
-    }
-  }
-
-  const double* result =
-      regs.data() + std::size_t{t.result_register()} * lanes;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    out[l].value = sf::from_native(result[l]);
-    out[l].flags = flags[l];
-  }
-}
-
-// Same blocking/fenv discipline as run_fast16_lanes.
-void run_fast32_lanes(const Tape& t, const double* values, std::size_t width,
-                      std::size_t begin, std::size_t end, Outcome* out) {
-  constexpr std::size_t kBlock = 1024;
-  fenv_t saved_fenv;
-  std::fegetenv(&saved_fenv);
-  std::fesetround(FE_TONEAREST);
-  for (std::size_t b = begin; b < end; b += kBlock) {
-    const std::size_t e = b + kBlock < end ? b + kBlock : end;
-    run_fast32_block(t, values, width, b, e, out + (b - begin));
-  }
-  std::fesetenv(&saved_fenv);
 }
 
 void check_width(const Tape& tape, const BindingTable& table) {
@@ -682,20 +265,25 @@ void check_width(const Tape& tape, const BindingTable& table) {
 }
 
 /// Dispatch one row block [begin, end) of a row-major value array to the
-/// per-format interpreter. Callers have validated width.
+/// per-format interpreter. Callers have validated width. One rule for
+/// binary16 and binary32: kScalar runs the SoA interpreter (whose batch
+/// entry points then run the scalar reference loops), so forcing kScalar
+/// forces the whole stack scalar; every other variant runs the fast path.
 void dispatch_soft(const Tape& tape, const double* values, std::size_t width,
                    std::size_t begin, std::size_t end, Outcome* out) {
+  const bool fast =
+      sf::active_kernel_variant() != sf::KernelVariant::kScalar;
   switch (tape.config().format_bits) {
     case 16:
-      run_fast16_lanes(tape, values, width, begin, end, out);
+      if (fast) {
+        run_fast_lanes<16>(tape, values, width, begin, end, out);
+      } else {
+        run_soft_lanes<16>(tape, values, width, begin, end, out);
+      }
       break;
     case 32:
-      // The fast32 native block under any accelerated variant; kScalar
-      // keeps the SoA interpreter (whose batch entry points then run the
-      // scalar reference loops), so forcing kScalar forces the whole
-      // stack scalar.
-      if (sf::active_kernel_variant() != sf::KernelVariant::kScalar) {
-        run_fast32_lanes(tape, values, width, begin, end, out);
+      if (fast) {
+        run_fast_lanes<32>(tape, values, width, begin, end, out);
       } else {
         run_soft_lanes<32>(tape, values, width, begin, end, out);
       }
@@ -807,166 +395,6 @@ std::vector<Outcome> execute_batch(parallel::ThreadPool& pool,
       });
 
   return out;
-}
-
-// -- Native SoA kernels -----------------------------------------------------
-
-void execute_range_native64(const Tape& tape, const BindingTable& table,
-                            std::size_t begin, std::size_t end,
-                            std::span<double> out) {
-  check_width(tape, table);
-  const std::size_t lanes = end - begin;
-  std::vector<double> regs(tape.register_count() * lanes);
-  const std::span<const softfloat::Float64> pool = tape.constants();
-  const double* values = table.values.data();
-  for (const TapeInst& in : tape.code()) {
-    double* d = regs.data() + std::size_t{in.dst} * lanes;
-    const double* a = regs.data() + std::size_t{in.a} * lanes;
-    const double* b = regs.data() + std::size_t{in.b} * lanes;
-    const double* c = regs.data() + std::size_t{in.c} * lanes;
-    switch (in.op) {
-      case TapeOp::kConst: {
-        const double v = sf::to_native(pool[in.a]);
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = v;
-        break;
-      }
-      case TapeOp::kVar:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = values[(begin + l) * table.width + in.a];
-        }
-        break;
-      case TapeOp::kNeg:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::flip_sign(a[l]);
-        }
-        break;
-      case TapeOp::kAdd:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::add64(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kSub:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::sub64(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kMul:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::mul64(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kDiv:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::div64(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kSqrt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::sqrt64(a[l]);
-        }
-        break;
-      case TapeOp::kFma:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::fma64(a[l], b[l], c[l]);
-        }
-        break;
-      case TapeOp::kCmpEq:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::eq64(a[l], b[l]) ? 1.0 : 0.0;
-        }
-        break;
-      case TapeOp::kCmpLt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::lt64(a[l], b[l]) ? 1.0 : 0.0;
-        }
-        break;
-    }
-  }
-  const double* result =
-      regs.data() + std::size_t{tape.result_register()} * lanes;
-  for (std::size_t l = 0; l < lanes; ++l) out[l] = result[l];
-}
-
-void execute_range_native32(const Tape& tape, const BindingTable& table,
-                            std::size_t begin, std::size_t end,
-                            std::span<double> out) {
-  check_width(tape, table);
-  const std::size_t lanes = end - begin;
-  // In-format float registers: NativeEvaluator32 widens each result to
-  // double and re-narrows per op through the FPU, but re-narrowing an
-  // in-format value is exact, so keeping lanes as float is bit-identical.
-  std::vector<float> regs(tape.register_count() * lanes);
-  const std::span<const softfloat::Float64> pool = tape.constants();
-  const double* values = table.values.data();
-  for (const TapeInst& in : tape.code()) {
-    float* d = regs.data() + std::size_t{in.dst} * lanes;
-    const float* a = regs.data() + std::size_t{in.a} * lanes;
-    const float* b = regs.data() + std::size_t{in.b} * lanes;
-    const float* c = regs.data() + std::size_t{in.c} * lanes;
-    switch (in.op) {
-      case TapeOp::kConst: {
-        const float v = native::narrow32(sf::to_native(pool[in.a]));
-        for (std::size_t l = 0; l < lanes; ++l) d[l] = v;
-        break;
-      }
-      case TapeOp::kVar:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::narrow32(values[(begin + l) * table.width + in.a]);
-        }
-        break;
-      case TapeOp::kNeg:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = static_cast<float>(
-              native::flip_sign(static_cast<double>(a[l])));
-        }
-        break;
-      case TapeOp::kAdd:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::add32(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kSub:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::sub32(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kMul:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::mul32(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kDiv:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::div32(a[l], b[l]);
-        }
-        break;
-      case TapeOp::kSqrt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::sqrt32(a[l]);
-        }
-        break;
-      case TapeOp::kFma:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::fma32(a[l], b[l], c[l]);
-        }
-        break;
-      case TapeOp::kCmpEq:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::eq64(a[l], b[l]) ? 1.0f : 0.0f;
-        }
-        break;
-      case TapeOp::kCmpLt:
-        for (std::size_t l = 0; l < lanes; ++l) {
-          d[l] = native::lt64(a[l], b[l]) ? 1.0f : 0.0f;
-        }
-        break;
-    }
-  }
-  const float* result =
-      regs.data() + std::size_t{tape.result_register()} * lanes;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    out[l] = static_cast<double>(result[l]);
-  }
 }
 
 }  // namespace fpq::ir

@@ -49,18 +49,4 @@ std::vector<Outcome> execute_batch(parallel::ThreadPool& pool,
                                    const BindingTable& table,
                                    const BatchOptions& options = {});
 
-/// Host-FPU SoA kernels (values only — the native evaluators deliberately
-/// expose no per-op flags). Bit-identical to a NativeEvaluator64/32 tree
-/// walk per row under the host's default FP environment; compile the tape
-/// with format_bits 64 / 32 respectively. Folded/CSE'd tapes rely on the
-/// softfloat engine agreeing with IEEE hardware in default rounding (the
-/// repo's differential-oracle claim); use TapeOptions::exact_trace() when
-/// an fpmon monitor must observe every source-level operation.
-void execute_range_native64(const Tape& tape, const BindingTable& table,
-                            std::size_t begin, std::size_t end,
-                            std::span<double> out);
-void execute_range_native32(const Tape& tape, const BindingTable& table,
-                            std::size_t begin, std::size_t end,
-                            std::span<double> out);
-
 }  // namespace fpq::ir

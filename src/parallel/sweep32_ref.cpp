@@ -5,15 +5,17 @@
 
 #include <array>
 #include <bit>
-#include <cfenv>
 #include <cmath>
 
-#include "softfloat/fast16.hpp"
+#include "bigfloat/bigfloat.hpp"
+#include "softfloat/fast.hpp"
 #include "softfloat/format.hpp"
 
 namespace fpq::parallel::sweep32 {
 
 namespace {
+
+namespace bf = fpq::bigfloat;
 
 using sweep_detail::fenv_mode_of;
 using sweep_detail::hw_div;
@@ -26,6 +28,7 @@ using sweep_detail::ScopedFenvRounding;
 constexpr std::uint32_t kSign32 = 0x8000'0000u;
 constexpr std::uint32_t kQuiet32 = 0x0040'0000u;
 constexpr std::uint64_t kSign64 = std::uint64_t{1} << 63;
+constexpr std::uint64_t kExpMask64 = 0x7FF0'0000'0000'0000u;
 
 /// NaN propagation matching detail::propagate_nan: first NaN operand in
 /// argument order, quieted (flags are out of scope for the value refs).
@@ -34,23 +37,23 @@ sf::Float32 nan_of(sf::Float32 a, sf::Float32 b) noexcept {
 }
 
 /// Narrow a host double to binary32 through the soft converter, value
-/// only. The callers guarantee the double is the correctly rounded (or
-/// round-to-odd compressed) 53-bit image of the exact result, making the
-/// second rounding innocuous per the header notes.
+/// only. The callers guarantee the double is the correctly rounded 53-bit
+/// image of the exact result, making the second rounding innocuous per
+/// the header notes.
 sf::Float32 narrow53(double wide, sf::Rounding mode) noexcept {
   sf::Env env(mode);
   return sf::convert<32, 64>(sf::from_native(wide), env);
 }
 
 /// Encode a double that is exactly a binary16 value (or ±inf) back into
-/// the binary16 format, by inverting fast16::widen with integer
+/// the binary16 format, by inverting fast::widen<16> with integer
 /// arithmetic. Never touches the soft round/pack pipeline.
 sf::Float16 encode16(double v) noexcept {
   const std::uint64_t b = std::bit_cast<std::uint64_t>(v);
   const auto sign = static_cast<std::uint16_t>((b >> 63) << 15);
   const std::uint64_t mag = b & ~kSign64;
   if (mag == 0) return sf::Float16{sign};
-  if ((mag & sf::fast16::kExpMask64) == sf::fast16::kExpMask64) {
+  if ((mag & kExpMask64) == kExpMask64) {
     return sf::Float16{static_cast<std::uint16_t>(sign | 0x7C00u)};
   }
   const int e = static_cast<int>(mag >> 52) - 1023;
@@ -64,6 +67,40 @@ sf::Float16 encode16(double v) noexcept {
   const std::uint64_t sig = (frac52 | (std::uint64_t{1} << 52)) >>
                             (42 + (-14 - e));
   return sf::Float16{static_cast<std::uint16_t>(sign | sig)};
+}
+
+/// Rounds an exact finite nonzero value to binary32 under `mode`: to 24
+/// bits in the normal range, to e + 150 bits on the subnormal staircase
+/// (a fixed 2^-149 quantum), and to each mode's overflow result when the
+/// rounded magnitude reaches 2^128.
+sf::Float32 round_exact32(const bf::BigFloat& x, sf::Rounding mode) {
+  const bool neg = x.negative();
+  const std::uint32_t sign = neg ? kSign32 : 0;
+  const std::int64_t e = x.msb_exponent();  // |x| in [2^e, 2^(e+1))
+  const std::int64_t prec = e >= -126 ? 24 : e + 150;
+  if (prec <= 0) {  // |x| < 2^-149: zero or the smallest subnormal
+    bool away = false;
+    switch (mode) {
+      case sf::Rounding::kNearestEven:  // strictly above the 2^-150 tie
+        away = prec == 0 && x.significant_bits() > 1;
+        break;
+      case sf::Rounding::kNearestAway: away = prec == 0; break;
+      case sf::Rounding::kTowardZero: break;
+      case sf::Rounding::kUp: away = !neg; break;
+      case sf::Rounding::kDown: away = neg; break;
+    }
+    return sf::Float32{sign | (away ? 1u : 0u)};
+  }
+  const bf::BigFloat r = bf::BigFloat::add(
+      x, bf::BigFloat::zero(), bf::Context{static_cast<unsigned>(prec), mode});
+  if (r.msb_exponent() >= 128) {
+    const bool to_inf = mode == sf::Rounding::kNearestEven ||
+                        mode == sf::Rounding::kNearestAway ||
+                        (mode == sf::Rounding::kUp && !neg) ||
+                        (mode == sf::Rounding::kDown && neg);
+    return sf::Float32{sign | (to_inf ? 0x7F80'0000u : 0x7F7F'FFFFu)};
+  }
+  return sf::from_native(static_cast<float>(r.to_double()));  // exact
 }
 
 }  // namespace
@@ -126,30 +163,19 @@ sf::Float32 ref_fma(sf::Float32 a, sf::Float32 b, sf::Float32 c,
     return sf::Float32::zero(mode == sf::Rounding::kDown);
   }
 
-  double odd;  // round-to-odd 53-bit image of the exact a*b + c
-  {
-    // TwoSum needs round-to-nearest; the product and widenings are exact
-    // in any mode but run under the same guard for clarity.
-    ScopedFenvRounding guard(FE_TONEAREST);
-    const double pa = hw_widen_f32(sf::to_native(a)) *
-                      hw_widen_f32(sf::to_native(b));  // exact: <= 48 bits
-    const double cw = hw_widen_f32(sf::to_native(c));
-    const double s = pa + cw;
-    if (s == 0.0) {
-      // The exact sum is a multiple of 2^-298, so RN(sum) == 0 implies the
-      // sum is exactly zero: nonzero operands cancelled.
-      return sf::Float32::zero(mode == sf::Rounding::kDown);
-    }
-    const double bb = s - pa;
-    const double err = (pa - (s - bb)) + (cw - bb);
-    odd = s;
-    if (err != 0.0 && (std::bit_cast<std::uint64_t>(s) & 1) == 0) {
-      // s is the even neighbour of the exact sum: step one ulp toward the
-      // residual so the kept value is odd (round-to-odd).
-      odd = sf::fast16::step_toward(s, err);
-    }
+  // The exact a*b + c in arbitrary precision: its bits span 2^-298
+  // (a product of minimum subnormals) to below 2^257, so 600 bits hold it
+  // unrounded. Independent of the host FPU and of the fast path's
+  // TwoSum / round-to-odd argument.
+  const bf::Context exact{600, sf::Rounding::kNearestEven};
+  const auto big = [](sf::Float32 x) {
+    return bf::BigFloat::from_double(hw_widen_f32(sf::to_native(x)));
+  };
+  const bf::BigFloat sum = bf::BigFloat::fma(big(a), big(b), big(c), exact);
+  if (sum.is_zero()) {  // nonzero operands cancelled exactly
+    return sf::Float32::zero(mode == sf::Rounding::kDown);
   }
-  return narrow53(odd, mode);
+  return round_exact32(sum, mode);
 }
 
 sf::Float32 ref_round_to_integral(sf::Float32 a, sf::Rounding mode) {
@@ -165,7 +191,7 @@ sf::Float32 ref_round_to_integral(sf::Float32 a, sf::Rounding mode) {
 sf::Float64 ref_widen64(sf::Float32 a) {
   if (a.is_nan()) {
     const std::uint64_t bits =
-        (a.sign() ? kSign64 : 0) | sf::fast16::kExpMask64 |
+        (a.sign() ? kSign64 : 0) | kExpMask64 |
         (std::uint64_t{1} << 51) |  // quiet bit
         (static_cast<std::uint64_t>(a.fraction()) << 29);
     return sf::Float64{bits};
@@ -188,9 +214,9 @@ sf::Float16 ref_narrow16(sf::Float32 a, sf::Rounding mode) {
     return sf::Float16{static_cast<std::uint16_t>(a.sign() ? 0x8000u : 0u)};
   }
   // Finite nonzero binary32 values are normal doubles (min subnormal is
-  // 2^-149), so narrow16_value's precondition holds.
+  // 2^-149), so narrow_value's precondition holds.
   return encode16(
-      sf::fast16::narrow16_value(hw_widen_f32(sf::to_native(a)), mode));
+      sf::fast::narrow_value<16>(hw_widen_f32(sf::to_native(a)), mode));
 }
 
 sf::BFloat16 ref_narrow_bf16(sf::Float32 a, sf::Rounding mode) {
@@ -380,11 +406,11 @@ constexpr std::uint32_t kCorner32[] = {
     0x1A00'0000u,               // 2^-75 (square = 2^-150 = half min sub)
     0x1A00'0001u,               // 2^-75 + ulp (square just above the tie)
     0x1A80'0000u,               // 2^-74
-    // narrow16_value boundary neighbourhood: encodings bracketing the
-    // fast16 operand-narrowing branch points (half the minimum binary16
-    // subnormal, the subnormal-step ties, and the max-subnormal /
-    // min-normal border), so a misplaced branch in the value-only
-    // narrower shows up as a corpus mismatch.
+    // narrow_value<16> boundary neighbourhood: encodings bracketing the
+    // fast::narrow_value<16> operand-narrowing branch points (half the
+    // minimum binary16 subnormal, the subnormal-step ties, and the
+    // max-subnormal / min-normal border), so a misplaced branch in the
+    // value-only narrower shows up as a corpus mismatch.
     0x32FF'FFFFu,               // just below 2^-25 (rounds to 0 or minsub)
     0x33C0'0000u,               // 1.5 * 2^-24: exact b16 subnormal-step tie
     0x33A0'0000u,               // 1.25 * 2^-24 (interior, rounds down)

@@ -21,11 +21,13 @@
 //    This covers subnormal quotients too (53 >= 2p + 2 holds a fortiori
 //    at reduced subnormal precision).
 //
-//  * fma: the product of two binary32 values is EXACT in binary64
-//    (<= 48 significand bits); Knuth TwoSum captures the addend exactly,
-//    and rounding the 53-bit sum to odd before the final narrowing
-//    (Boldo–Melquiond, valid since 53 >= 24 + 2) makes the narrowing
-//    round as if from the exact value in all five modes.
+//  * fma: the exact a*b + c in bigfloat (600 bits hold every binary32
+//    fma unrounded), rounded once to binary32 under the target mode: 24
+//    bits in the normal range, e + 150 bits on the subnormal staircase,
+//    the mode's choice between zero and the smallest subnormal below it,
+//    and the mode's overflow result once the rounded magnitude reaches
+//    2^128. It shares nothing with the fast path's TwoSum + round-to-odd
+//    argument (softfloat/fast.hpp), which it exists to check.
 //
 //  * roundToIntegralExact: the host's rint under a matching fenv
 //    direction; roundTiesToAway uses the host's round(), whose
@@ -36,7 +38,7 @@
 //    mode).
 //
 //  * binary32 -> binary16: exact widening to binary64 followed by
-//    fast16::narrow16_value — the add-and-mask narrowing path that shares
+//    fast::narrow_value<16> — the add-and-mask narrowing path that shares
 //    no code with convert<16,32>'s unpack/round_pack pipeline.
 //
 //  * binary32 <-> bfloat16: pure integer arithmetic on the encodings.

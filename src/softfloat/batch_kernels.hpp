@@ -7,7 +7,7 @@
 // order, and the Env's sticky flags are clobbered (scalar-fallback lanes
 // use it as scratch).
 //
-// Kernels that run host floating point (the fast32 arithmetic ops and
+// Kernels that run host floating point (the fast<32> arithmetic ops and
 // sqrt) pin the fenv to round-to-nearest internally — callers like the
 // sweep32 shard loops invoke them under ambient, per-shard rounding
 // modes. The convert / round-to-int kernels are pure integer code and
@@ -61,7 +61,7 @@ void widen_32_to_64(const Float32* a, Float64* out, unsigned* flags,
 }  // namespace portable
 
 // The AVX2 set covers the unary / convert sweep ops (the full-2^32
-// spaces). The binary arithmetic ops stay on the portable fast32 loops
+// spaces). The binary arithmetic ops stay on the portable fast<32> loops
 // under every vector variant: their cost is dominated by the scalar
 // TwoSum / fold-back tails, not lane traversal. When avx2_compiled() is
 // false these are forwarders to the portable kernels (and dispatch never

@@ -17,7 +17,6 @@
 #include <cstdint>
 
 #include "softfloat/batch_kernels_impl.hpp"
-#include "softfloat/fast32.hpp"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -563,7 +562,7 @@ void round_int32(const Float32* a, Float32* out, unsigned* flags,
 
 void sqrt32(const Float32* a, Float32* out, unsigned* flags, std::size_t n,
             Env& env) noexcept {
-  const impl::FenvPin pin;  // _mm256_sqrt_pd honours MXCSR rounding
+  const fast::FenvPin pin;  // _mm256_sqrt_pd honours MXCSR rounding
   const Rounding mode = env.rounding();
   const bool daz = env.denormals_are_zero();
   const auto* in = reinterpret_cast<const std::uint32_t*>(a);

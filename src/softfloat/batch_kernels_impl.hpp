@@ -10,7 +10,7 @@
 // that the Env's sticky flags are clobbered. Flags are OR-ed into `fl`.
 //
 // Rounding in the common classes is one masked integer add on the
-// encoding (the fast16::narrow16_value construction): consecutive
+// encoding (the fast::narrow_value construction): consecutive
 // in-format values are a fixed encoding step apart and the carry out of
 // the fraction walks binades correctly, so adding a mode-dependent bias
 // below the first kept bit and masking rounds in all five modes; the
@@ -23,13 +23,12 @@
 #pragma once
 
 #include <bit>
-#include <cfenv>
 #include <cmath>
 #include <cstdint>
 
 #include "softfloat/detail.hpp"
 #include "softfloat/env.hpp"
-#include "softfloat/fast32.hpp"
+#include "softfloat/fast.hpp"
 #include "softfloat/ops.hpp"
 
 namespace fpq::softfloat::kernels::impl {
@@ -38,79 +37,24 @@ inline constexpr std::uint32_t kSign32 = 0x80000000u;
 inline constexpr std::uint32_t kInf32 = 0x7F800000u;
 inline constexpr std::uint32_t kQNan32 = 0x7FC00000u;
 
-/// Pins the host FPU to round-to-nearest for the duration of a kernel
-/// that runs native double arithmetic (fast32 paths, sqrt), and restores
-/// the caller's whole fenv — including exception flags, so kernels never
-/// leak host flags — on exit. Integer-only kernels don't need one.
-class FenvPin {
- public:
-  FenvPin() noexcept {
-    std::fegetenv(&saved_);
-    std::fesetround(FE_TONEAREST);
-  }
-  ~FenvPin() { std::fesetenv(&saved_); }
-  FenvPin(const FenvPin&) = delete;
-  FenvPin& operator=(const FenvPin&) = delete;
+using fast::overflows_to_inf;
+using fast::round_bias;
 
- private:
-  std::fenv_t saved_;
-};
-
-/// True when rounding away from zero lands on infinity rather than max
-/// finite for this mode/sign (round_pack's overflow policy).
-inline bool overflows_to_inf(Rounding mode, bool neg) noexcept {
-  return mode == Rounding::kNearestEven || mode == Rounding::kNearestAway ||
-         (mode == Rounding::kUp && !neg) || (mode == Rounding::kDown && neg);
-}
-
-/// The mode-dependent bias added below the first kept bit (bit `q`) of a
-/// sign-cleared encoding before masking. `lsb` is the kept lsb for
-/// ties-to-even. Directed modes return 0 or the full mask depending on
-/// the operand sign.
-inline std::uint64_t round_bias(Rounding mode, bool neg, std::uint64_t low,
-                                std::uint64_t lsb) noexcept {
-  switch (mode) {
-    case Rounding::kNearestEven:
-      return (low >> 1) + lsb;
-    case Rounding::kNearestAway:
-      return (low >> 1) + 1;
-    case Rounding::kTowardZero:
-      return 0;
-    case Rounding::kUp:
-      return neg ? 0 : low;
-    case Rounding::kDown:
-      return neg ? low : 0;
-  }
-  return 0;
-}
-
-/// detail::round_pack<32> on a nonzero NORMAL double: the full scalar
-/// rounding core (tininess after rounding, FTZ, per-mode overflow), used
-/// for the result bands the masked-add shortcut must not touch.
-inline Float32 round_pack32(double x, Env& env) noexcept {
-  const std::uint64_t b = std::bit_cast<std::uint64_t>(x);
-  const bool sign = (b >> 63) != 0;
-  const auto exp = static_cast<std::int32_t>((b >> 52) & 0x7FF) - 1023;
-  const std::uint64_t sig =
-      ((b & fast32::kFracMask64) | (std::uint64_t{1} << 52)) << 11;
-  return detail::round_pack<32>(sign, exp, sig, false, env);
-}
-
-/// Folds a nonzero normal double carrying a fast32 result (exact, or
+/// Folds a nonzero normal double carrying a fast-path result (exact, or
 /// round-to-odd compressed, or a correctly-rounded binary64 quotient /
-/// root whose double rounding is innocuous — see fast32.hpp) into the
+/// root whose double rounding is innocuous — see fast.hpp) into the
 /// binary32 encoding under `mode`. Magnitudes below 2^-126 go through
-/// round_pack32 so the subnormal / underflow band keeps the scalar
-/// engine's exact tininess and FTZ behaviour; everything else is the
-/// masked-add shortcut, whose boundary decisions on the compressed value
-/// equal those on the exact one.
+/// fast::narrow<32> (the scalar round_pack core) so the subnormal /
+/// underflow band keeps the scalar engine's exact tininess and FTZ
+/// behaviour; everything else is the masked-add shortcut, whose boundary
+/// decisions on the compressed value equal those on the exact one.
 inline std::uint32_t fold32(double v, Rounding mode, Env& env,
                             unsigned& fl) noexcept {
   const std::uint64_t rb = std::bit_cast<std::uint64_t>(v);
   std::uint64_t mag = rb & ~(std::uint64_t{1} << 63);
   if (mag < (std::uint64_t{897} << 52)) {  // |v| < 2^-126: tiny band
     env.clear_flags();
-    const Float32 r = round_pack32(v, env);
+    const Float32 r = fast::narrow<32>(v, env);
     fl |= env.flags();
     return r.bits;
   }
@@ -119,7 +63,7 @@ inline std::uint32_t fold32(double v, Rounding mode, Env& env,
   const std::uint64_t discarded = mag & low;
   mag = (mag + round_bias(mode, neg, low, (mag >> 29) & 1)) & ~low;
   const std::uint32_t sign = neg ? kSign32 : 0;
-  if (mag > fast32::kMaxMag32) {
+  if (mag > fast::Traits<32>::kMaxMag) {
     fl |= kFlagOverflow | kFlagInexact;
     return sign | (overflows_to_inf(mode, neg) ? kInf32 : (kInf32 - 1));
   }
@@ -244,13 +188,13 @@ inline std::uint32_t narrow_64_to_32_lane(std::uint64_t p, Rounding mode,
   const std::uint64_t m = p & ~(std::uint64_t{1} << 63);
   const std::uint32_t sign =
       static_cast<std::uint32_t>(p >> 32) & kSign32;
-  if (m > fast32::kExpMask64) {  // NaN → scalar
+  if (m > fast::kExpMask64) {  // NaN → scalar
     env.clear_flags();
     const Float32 r = convert<32>(Float64::from_bits(p), env);
     fl |= env.flags();
     return r.bits;
   }
-  if (m == fast32::kExpMask64) return sign | kInf32;
+  if (m == fast::kExpMask64) return sign | kInf32;
   if (m == 0) return sign;
   if (m < (std::uint64_t{897} << 52)) {  // |v| < 2^-126: the operand may
     // be a binary64 subnormal (DE/DAZ on the SOURCE format) and the
@@ -263,7 +207,7 @@ inline std::uint32_t narrow_64_to_32_lane(std::uint64_t p, Rounding mode,
   const std::uint64_t low = 0x1FFFFFFFull;
   const std::uint64_t r =
       (m + round_bias(mode, sign != 0, low, (m >> 29) & 1)) & ~low;
-  if (r > fast32::kMaxMag32) {
+  if (r > fast::Traits<32>::kMaxMag) {
     fl |= kFlagOverflow | kFlagInexact;
     return sign | (overflows_to_inf(mode, sign != 0) ? kInf32 : (kInf32 - 1));
   }
@@ -331,7 +275,7 @@ inline std::uint64_t widen_32_to_64_lane(std::uint32_t p, bool daz, Env& env,
       fl |= env.flags();
       return r.bits;
     }
-    return sign | fast32::kExpMask64;
+    return sign | fast::kExpMask64;
   }
   if (be != 0) {
     return sign | (static_cast<std::uint64_t>(be + 896) << 52) |
@@ -420,7 +364,7 @@ inline std::uint32_t sqrt32_lane(std::uint32_t p, Rounding mode, bool daz,
   if (m < 0x00800000u) {
     if (daz) return 0;  // flushed operand: sqrt(+0) = +0, no flags
     fl |= kFlagDenormalInput;
-    dv = fast32::widen(Float32::from_bits(p));  // integer normalize
+    dv = fast::widen(Float32::from_bits(p));  // integer normalize
   } else {
     dv = std::bit_cast<double>((static_cast<std::uint64_t>(m) << 29) +
                                (std::uint64_t{896} << 52));

@@ -6,8 +6,8 @@
 //   kScalar   — the per-lane scalar softfloat operations (the reference:
 //               every other variant must be bit- and flag-identical to it).
 //   kPortable — plain-C++ accelerated kernels: integer add-and-mask
-//               rounding for converts/round-to-int and the fast32 native
-//               double technique (softfloat/fast32.hpp) for binary32
+//               rounding for converts/round-to-int and the fast<kBits>
+//               native double technique (softfloat/fast.hpp) for binary32
 //               arithmetic. No intrinsics; hot loops are written so the
 //               compiler can auto-vectorize the integer paths.
 //   kAvx2     — hand-vectorized AVX2 kernels for the unary/convert sweep

@@ -1,5 +1,5 @@
 // Differential tests for the binary32 fast path and the vectorized batch
-// kernels (softfloat/fast32.hpp, softfloat/batch_kernels_*.cpp): every
+// kernels (softfloat/fast.hpp, softfloat/batch_kernels_*.cpp): every
 // kernel variant must be bit- and flag-identical to the scalar softfloat
 // reference, across all five rounding modes and every FTZ/DAZ
 // combination. The full proof is the exhaustive sweep32 gate; this suite
@@ -14,12 +14,12 @@
 
 #include "parallel/sweep32_ref.hpp"
 #include "softfloat/batch.hpp"
-#include "softfloat/fast32.hpp"
+#include "softfloat/fast.hpp"
 #include "softfloat/kernels.hpp"
 #include "softfloat/ops.hpp"
 
 namespace sf = fpq::softfloat;
-namespace f32 = fpq::softfloat::fast32;
+namespace fast = fpq::softfloat::fast;
 namespace sweep32 = fpq::parallel::sweep32;
 
 namespace {
@@ -255,7 +255,7 @@ TEST(Fast32Exhaustive, WidenFrom16AndBf16AllEncodings) {
   }
 }
 
-// The fallback-lane predicate (fast32::is_finite on the widened value)
+// The fallback-lane predicate (fast::is_finite on the widened value)
 // must classify exactly like the encoding's own finiteness test, and the
 // fast path must agree with the scalar reference on every corpus
 // encoding cross-pair — the encodings built to sit ON the fallback /
@@ -264,16 +264,16 @@ TEST(Fast32Corpus, FallbackPredicateMatchesEncodingClassification) {
   for (const std::uint32_t p : sweep32::corner32_patterns()) {
     for (const std::uint32_t s : {0u, 0x8000'0000u}) {
       const sf::Float32 x = sf::Float32::from_bits(p | s);
-      const double w = f32::widen(x);
-      EXPECT_EQ(f32::is_finite(w), x.is_finite()) << std::hex << x.bits;
-      EXPECT_EQ(f32::is_subnormal32(w),
+      const double w = fast::widen(x);
+      EXPECT_EQ(fast::is_finite(w), x.is_finite()) << std::hex << x.bits;
+      EXPECT_EQ(fast::is_subnormal<32>(w),
                 x.biased_exponent() == 0 && x.fraction() != 0 &&
                     x.is_finite())
           << std::hex << x.bits;
       // Exact widen/renarrow roundtrip (quiet NaNs keep payload; the
-      // signaling bit is quieted by to_f32's convert, so sNaNs are the
+      // signaling bit is quieted by to_f's convert, so sNaNs are the
       // one legitimate difference).
-      const sf::Float32 back = f32::to_f32(w);
+      const sf::Float32 back = fast::to_f<32>(w);
       if (!x.is_nan()) {
         EXPECT_EQ(back.bits, x.bits) << std::hex << x.bits;
       } else {
@@ -349,7 +349,7 @@ TEST(Fast32Kernels, AliasingOutputOverInput) {
   }
 }
 
-// narrow32_value (the value-only operand narrower the tape kVar lanes
+// fast::narrow_value<32> (the value-only operand narrower the tape kVar lanes
 // use) against the flag-computing scalar convert, on doubles that
 // straddle binary32 ties in every band.
 TEST(Fast32Primitives, Narrow32ValueMatchesConvert) {
@@ -361,10 +361,10 @@ TEST(Fast32Primitives, Narrow32ValueMatchesConvert) {
       const auto be = (raw >> 52) & 0x7FF;
       if (be == 0 || be == 0x7FF) continue;  // handled by the kVar branches
       const double x = std::bit_cast<double>(raw);
-      const double got = f32::narrow32_value(x, mode);
+      const double got = fast::narrow_value<32>(x, mode);
       quiet.clear_flags();
       const double want =
-          f32::widen(sf::convert<32>(sf::from_native(x), quiet));
+          fast::widen(sf::convert<32>(sf::from_native(x), quiet));
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
                 std::bit_cast<std::uint64_t>(want))
           << std::hex << raw << " mode " << static_cast<int>(mode);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
 #include "fpmon/report.hpp"
 #include "workloads/workloads.hpp"
 
@@ -11,11 +14,13 @@ namespace mon = fpq::mon;
 
 namespace {
 
-class WorkloadContract
-    : public ::testing::TestWithParam<const wl::Workload*> {};
+// Parameterised by catalogue index, not by pointer: gtest prints the
+// parameter into every discovered ctest name, and a pointer prints as a
+// heap address that changes from run to run.
+class WorkloadContract : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(WorkloadContract, ObservedConditionsMatchContract) {
-  const wl::Workload& w = *GetParam();
+  const wl::Workload& w = wl::catalogue()[GetParam()];
   const auto observed = wl::observe(w);
   EXPECT_TRUE(wl::contract_holds(w, observed))
       << w.name << ": observed " << observed.to_string() << ", expected "
@@ -23,20 +28,15 @@ TEST_P(WorkloadContract, ObservedConditionsMatchContract) {
 }
 
 TEST_P(WorkloadContract, ObservationIsRepeatable) {
-  const wl::Workload& w = *GetParam();
+  const wl::Workload& w = wl::catalogue()[GetParam()];
   EXPECT_EQ(wl::observe(w), wl::observe(w)) << w.name;
 }
 
-std::vector<const wl::Workload*> all_workloads() {
-  std::vector<const wl::Workload*> out;
-  for (const auto& w : wl::catalogue()) out.push_back(&w);
-  return out;
-}
-
 INSTANTIATE_TEST_SUITE_P(Catalogue, WorkloadContract,
-                         ::testing::ValuesIn(all_workloads()),
+                         ::testing::Range<std::size_t>(
+                             0, wl::catalogue().size()),
                          [](const auto& info) {
-                           std::string n = info.param->name;
+                           std::string n = wl::catalogue()[info.param].name;
                            for (auto& c : n)
                              if (c == '/') c = '_';
                            return n;
