@@ -126,8 +126,7 @@ bool run_op(const Cli& cli, sw::UnaryOp32 op, fpq::bench::PerfJson& json,
             bool multi = false) {
   sw::Sweep32Config config;
   config.op = op;
-  config.modes.assign(std::begin(fpq::parallel::kAllRoundings),
-                      std::begin(fpq::parallel::kAllRoundings) + cli.modes);
+  config.modes.resize(cli.modes);  // the first N of all five (default)
   config.begin = cli.begin;
   config.end = cli.end;
   config.chunk_bits = cli.chunk_bits;

@@ -3,10 +3,10 @@
 // Reads answers from stdin (T / F / D per question; an -O level or D for
 // the multiple-choice one), grades against the key executed on this
 // machine, and prints the full report with the paper's cohort as the
-// comparison group. Pipe answers for scripted runs:
+// comparison group. Feed answers from a file for scripted runs:
 //
-//   printf 'T\nF\nF\nF\nF\nF\nT\nF\nT\nF\nT\nT\nT\nT\nF\nF\nF\n-O2\nT\n4\n2\n1\n5\n2\n' \
-//     | ./take_quiz
+//   printf 'T\nF\nF\nF\nF\nF\nT\nF\nT\nF\nT\nT\nT\nT\nF\nF\nF\n-O2\nT\n4\n2\n1\n5\n2\n' > answers
+//   ./take_quiz < answers
 
 #include <array>
 #include <cstdio>

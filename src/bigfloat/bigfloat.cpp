@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "softfloat/format.hpp"
+
 namespace fpq::bigfloat {
 
 namespace {
@@ -661,5 +663,63 @@ double relative_error(double approx, const BigFloat& exact,
   const BigFloat rel = BigFloat::div(diff.abs(), exact.abs(), ctx);
   return rel.to_double();
 }
+
+template <int kBits>
+softfloat::Float<kBits> round_to_format(const BigFloat& x,
+                                        softfloat::Rounding mode) {
+  static_assert(kBits == 16 || kBits == 32,
+                "the encoding below needs the format inside binary64's "
+                "normal range");
+  using C = softfloat::FormatConstants<kBits>;
+  using S = typename C::Storage;
+  using R = softfloat::Rounding;
+  const bool neg = x.negative();
+  const S sign = neg ? C::kSignMask : S{0};
+  const std::int64_t e = x.msb_exponent();  // |x| in [2^e, 2^(e+1))
+  // Bits kept: p in the normal range, down to the 2^(emin - t) quantum on
+  // the subnormal staircase.
+  const std::int64_t prec =
+      e >= C::kEmin ? C::kPrecision : e - (C::kEmin - C::kSigBits) + 1;
+  if (prec <= 0) {  // below the smallest subnormal: it or zero
+    bool away = false;
+    switch (mode) {
+      case R::kNearestEven:  // strictly above the half-quantum tie
+        away = prec == 0 && x.significant_bits() > 1;
+        break;
+      case R::kNearestAway: away = prec == 0; break;
+      case R::kTowardZero: break;
+      case R::kUp: away = !neg; break;
+      case R::kDown: away = neg; break;
+    }
+    return softfloat::Float<kBits>{static_cast<S>(sign | (away ? 1u : 0u))};
+  }
+  const BigFloat r = BigFloat::add(
+      x, BigFloat::zero(), Context{static_cast<unsigned>(prec), mode});
+  if (r.msb_exponent() > C::kEmax) {
+    const bool to_inf = mode == R::kNearestEven || mode == R::kNearestAway ||
+                        (mode == R::kUp && !neg) || (mode == R::kDown && neg);
+    // The largest finite encoding sits one below the infinity's.
+    return softfloat::Float<kBits>{
+        static_cast<S>(sign | (to_inf ? C::kExpMask : C::kExpMask - 1))};
+  }
+  // r has at most p bits and lies inside binary64's normal range, so the
+  // double is exact; re-encode its fields in the narrow format.
+  const auto b = std::bit_cast<std::uint64_t>(r.to_double());
+  const int be = static_cast<int>((b >> 52) & 0x7FF) - 1023;
+  const std::uint64_t sig =
+      (b & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{1} << 52);
+  if (be >= C::kEmin) {
+    return softfloat::Float<kBits>{static_cast<S>(
+        sign | (static_cast<S>(be + C::kBias) << C::kSigBits) |
+        static_cast<S>((sig >> (52 - C::kSigBits)) & C::kFracMask))};
+  }
+  return softfloat::Float<kBits>{static_cast<S>(
+      sign | static_cast<S>(sig >> (52 - C::kSigBits + (C::kEmin - be))))};
+}
+
+template softfloat::Float16 round_to_format<16>(const BigFloat&,
+                                                softfloat::Rounding);
+template softfloat::Float32 round_to_format<32>(const BigFloat&,
+                                                softfloat::Rounding);
 
 }  // namespace fpq::bigfloat

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "softfloat/env.hpp"
+#include "softfloat/value.hpp"
 
 namespace fpq::bigfloat {
 
@@ -105,5 +106,15 @@ class BigFloat {
 /// not; NaN when either input is NaN.
 double relative_error(double approx, const BigFloat& exact,
                       const Context& ctx);
+
+/// Rounds an exact finite nonzero value once into binary16 or binary32
+/// (kBits 16 or 32) under `mode`: to p bits in the normal range, to the
+/// fixed subnormal quantum below it, and to the mode's overflow result
+/// when the rounded magnitude passes the largest finite. The shared last
+/// step of the sweeps' exact fma references; the encoding uses integer
+/// arithmetic only, never the softfloat round/pack pipeline.
+template <int kBits>
+softfloat::Float<kBits> round_to_format(const BigFloat& x,
+                                        softfloat::Rounding mode);
 
 }  // namespace fpq::bigfloat

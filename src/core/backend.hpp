@@ -1,4 +1,4 @@
-// fpq::quiz — pluggable arithmetic backends.
+// fpq::quiz — the arithmetic backends the quiz runs against.
 //
 // A backend is "a floating point implementation the quiz can be run
 // against": host hardware in double or float, or the softfloat engine in
@@ -7,9 +7,13 @@
 // not asserted — and running the derivation on a non-IEEE backend (FTZ)
 // shows exactly which answers silently change on such hardware.
 //
-// The value model is host double: each backend rounds operands into its
-// own format on entry and widens results back, which makes one evaluation
-// routine serve every precision.
+// A backend is one row of the registry below bound to one of ir's
+// evaluators: ir::SoftEvaluator<kBits> for the softfloat rows,
+// ir::NativeEvaluator64/32 for the host rows. Trees run through the
+// evaluator's exact_trace() tape, so the quiz and every other ir client
+// share one arithmetic substrate. The value model is host double: each
+// backend rounds operands into its own format on entry and widens results
+// back, which makes one evaluation routine serve every precision.
 #pragma once
 
 #include <memory>
@@ -18,46 +22,10 @@
 #include <vector>
 
 #include "fpmon/monitor.hpp"
+#include "ir/evaluators.hpp"
+#include "ir/expr.hpp"
 
 namespace fpq::quiz {
-
-class ArithmeticBackend {
- public:
-  virtual ~ArithmeticBackend() = default;
-
-  /// Display name, e.g. "native-binary64", "softfloat-binary16".
-  virtual std::string name() const = 0;
-
-  // Arithmetic in the backend's format (operands are canonicalized into
-  // the format first; results widen back to double exactly).
-  virtual double add(double a, double b) = 0;
-  virtual double sub(double a, double b) = 0;
-  virtual double mul(double a, double b) = 0;
-  virtual double div(double a, double b) = 0;
-  virtual double sqrt(double a) = 0;
-  /// Fused multiply-add: a*b + c with one rounding.
-  virtual double fma(double a, double b, double c) = 0;
-
-  // IEEE comparison semantics in the backend's format.
-  virtual bool equal(double a, double b) = 0;
-  virtual bool less(double a, double b) = 0;
-
-  /// Rounds a host double into the backend's format (identity for
-  /// binary64 backends). Lets tests construct "what the backend sees".
-  virtual double canonicalize(double x) = 0;
-
-  // Named values of the backend's format, widened to double.
-  virtual double max_finite() = 0;
-  virtual double min_normal() = 0;
-  virtual double min_subnormal() = 0;
-
-  /// Exceptional conditions accumulated since the last call; clears.
-  virtual mon::ConditionSet take_conditions() = 0;
-
-  /// True when the backend implements IEEE-standard semantics (no flush
-  /// modes); the answer-key invariance tests quantify over these.
-  virtual bool ieee_compliant() const = 0;
-};
 
 /// One row of the backend catalogue: everything needed to construct a
 /// backend. `make_all_backends()` and the per-format factories all build
@@ -68,6 +36,59 @@ struct BackendDescriptor {
   bool native;             ///< host FPU instead of the softfloat engine
   bool flush_to_zero;
   bool denormals_are_zero;
+};
+
+class ArithmeticBackend {
+ public:
+  /// Throws std::invalid_argument for a format the row cannot run in
+  /// (softfloat: 64, 32, 16, bfloat16; host FPU: 64, 32).
+  explicit ArithmeticBackend(const BackendDescriptor& d);
+
+  /// Display name, e.g. "native-binary64", "softfloat-binary16".
+  std::string name() const { return desc_.name; }
+
+  /// Evaluates `expr` in the backend's format; `bindings` feeds kVar nodes
+  /// by var_index. Conditions accumulate until take_conditions().
+  double evaluate(const ir::Expr& expr,
+                  std::span<const double> bindings = {});
+
+  // IEEE comparison semantics in the backend's format.
+  bool equal(double a, double b);
+  bool less(double a, double b);
+
+  /// Rounds a host double into the backend's format (identity for
+  /// binary64 backends). Lets tests construct "what the backend sees".
+  double canonicalize(double x);
+
+  // Named values of the backend's format, widened to double.
+  double max_finite() const noexcept { return max_finite_; }
+  double min_normal() const noexcept { return min_normal_; }
+  double min_subnormal() const noexcept { return min_subnormal_; }
+
+  /// Exceptional conditions accumulated since the last call; clears.
+  mon::ConditionSet take_conditions();
+
+  /// True when the backend implements IEEE-standard semantics (no flush
+  /// modes); the answer-key invariance tests quantify over these.
+  bool ieee_compliant() const noexcept {
+    return !desc_.flush_to_zero && !desc_.denormals_are_zero;
+  }
+
+ private:
+  template <int kBits>
+  void bind();
+
+  BackendDescriptor desc_;
+  std::unique_ptr<ir::Evaluator<double>> ev_;
+  /// The softfloat rows' sticky flags; null on the host rows, whose
+  /// conditions come from one fpmon monitor per evaluation.
+  ir::FlagControl* soft_flags_ = nullptr;
+  mon::ConditionSet native_conditions_;
+  /// The node handed to the variable/comparison hooks (never traced).
+  ir::Expr operand_;
+  double max_finite_ = 0.0;
+  double min_normal_ = 0.0;
+  double min_subnormal_ = 0.0;
 };
 
 /// The full catalogue, in the order `make_all_backends()` returns.

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <span>
 
-#include "core/backend_eval.hpp"
 #include "ir/expr.hpp"
 #include "optprobe/emulated_pipeline.hpp"
 #include "optprobe/flag_audit.hpp"
@@ -22,12 +21,11 @@ std::string num(double x) {
 }
 
 // Every demonstration's arithmetic is an fpq::ir tree executed on the
-// backend through BackendEvaluator; only the sweep loops and verdict
-// branches stay in C++. `ev` is the one evaluation entry point.
+// backend; only the sweep loops and verdict branches stay in C++. `ev` is
+// the one evaluation entry point.
 double ev(ArithmeticBackend& b, const ir::Expr& e,
           std::initializer_list<double> binds = {}) {
-  return evaluate_on_backend(
-      b, e, std::span<const double>(binds.begin(), binds.size()));
+  return b.evaluate(e, std::span<const double>(binds.begin(), binds.size()));
 }
 
 // Directed operand pool: interesting magnitudes canonicalized into the

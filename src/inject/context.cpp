@@ -4,7 +4,7 @@
 #include <string>
 
 #include "fpmon/hardware.hpp"
-#include "ir/native_ops.hpp"
+#include "parallel/sweep_util.hpp"
 #include "softfloat/value.hpp"
 
 namespace fpq::inject {
@@ -191,17 +191,17 @@ double NativeInjectingEvaluator::recompute_rounded(
   std::fesetround(fe_mode);
   switch (op) {
     case Op::kAdd:
-      return ir::native::add64(a, b);
+      return parallel::sweep_detail::hw_add(a, b);
     case Op::kSub:
-      return ir::native::sub64(a, b);
+      return parallel::sweep_detail::hw_sub(a, b);
     case Op::kMul:
-      return ir::native::mul64(a, b);
+      return parallel::sweep_detail::hw_mul(a, b);
     case Op::kDiv:
-      return ir::native::div64(a, b);
+      return parallel::sweep_detail::hw_div(a, b);
     case Op::kSqrt:
-      return ir::native::sqrt64(a);
+      return parallel::sweep_detail::hw_sqrt(a);
     case Op::kFma:
-      return ir::native::fma64(a, b, c);
+      return parallel::sweep_detail::hw_fma(a, b, c);
   }
   return 0.0;
 }

@@ -3,13 +3,14 @@
 #include <bit>
 #include <cfenv>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
+#include "bigfloat/bigfloat.hpp"
 #include "parallel/shard.hpp"
 #include "parallel/sweep_util.hpp"
 #include "softfloat/ops.hpp"
 
+namespace bf = fpq::bigfloat;
 namespace sf = fpq::softfloat;
 
 namespace fpq::parallel {
@@ -133,18 +134,6 @@ double exact_zero_sum_sign(double lhs, double rhs, sf::Rounding mode) {
   return neg ? -0.0 : 0.0;
 }
 
-struct TwoSum {
-  double sum;
-  double err;
-};
-
-TwoSum two_sum(double a, double b) noexcept {
-  const double s = a + b;
-  const double bb = s - a;
-  const double err = (a - (s - bb)) + (b - bb);
-  return {s, err};
-}
-
 /// Correctly rounded binary16 reference for every op and all five modes.
 F16 ref_f16(SweepOp op, F16 a, F16 b, F16 c, sf::Rounding mode) {
   const double wa = widen16(a);
@@ -183,29 +172,25 @@ F16 ref_f16(SweepOp op, F16 a, F16 b, F16 c, sf::Rounding mode) {
       return narrow16(hw_sqrt(wa), mode);
     }
     case SweepOp::kFma: {
-      const double p = wa * widen16(b);  // exact: 22 bits
+      const double wb = widen16(b);
       const double wc = widen16(c);
+      const double p = wa * wb;  // exact: 22 bits
       if (!std::isfinite(p) || !std::isfinite(wc)) {
         // NaN/infinity propagation: the (possibly invalid) sum decides.
         return narrow16(p + wc, mode);
       }
-      auto [s, err] = two_sum(p, wc);  // s + err == p + wc exactly
-      if (s == 0.0) {
-        // err is zero too (exact cancellation); apply the sign rule.
+      // The exact a*b + c in bigfloat — its bits span 2^-48 (a product of
+      // minimum subnormals) to below 2^33, so 128 bits hold it unrounded —
+      // rounded once. Independent of the host FPU and of the fast path's
+      // TwoSum / round-to-odd argument.
+      const bf::Context exact{128, sf::Rounding::kNearestEven};
+      const bf::BigFloat sum = bf::BigFloat::fma(
+          bf::BigFloat::from_double(wa), bf::BigFloat::from_double(wb),
+          bf::BigFloat::from_double(wc), exact);
+      if (sum.is_zero()) {
         return narrow16(exact_zero_sum_sign(p, wc, mode), mode);
       }
-      if (err != 0.0) {
-        // Round to odd (Boldo–Melquiond): with >= p + 2 extra bits the
-        // final narrowing then rounds as if from the exact value, in
-        // every rounding mode.
-        const std::uint64_t bits = std::bit_cast<std::uint64_t>(s);
-        if ((bits & 1) == 0) {
-          s = std::nextafter(
-              s, err > 0 ? std::numeric_limits<double>::infinity()
-                         : -std::numeric_limits<double>::infinity());
-        }
-      }
-      return narrow16(s, mode);
+      return bf::round_to_format<16>(sum, mode);
     }
   }
   return F16{};

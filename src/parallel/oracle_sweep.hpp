@@ -15,9 +15,10 @@
 //    result computed under a matching rounding direction — double rounding
 //    53 -> 11 bits is innocuous (Figueroa: wide precision >= 2p + 2), and
 //    binary16 quotients/roots can never land on an 11-bit tie, which also
-//    legitimizes roundTiesToAway via the hardware's ties-to-even. fma uses
-//    the exact product plus Knuth TwoSum, rounded to odd before the final
-//    narrowing (Boldo–Melquiond), which is exact in all five modes.
+//    legitimizes roundTiesToAway via the hardware's ties-to-even. fma
+//    computes the exact a*b + c in bigfloat and rounds it once to binary16
+//    (bigfloat::round_to_format, shared with sweep32's binary32 fma) —
+//    independent of the TwoSum / round-to-odd argument the fast path uses.
 //
 //  * binary32/binary64: the soft engine runs head-to-head against the
 //    host FPU's same-width operations under the four hardware-expressible

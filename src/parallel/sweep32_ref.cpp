@@ -69,40 +69,6 @@ sf::Float16 encode16(double v) noexcept {
   return sf::Float16{static_cast<std::uint16_t>(sign | sig)};
 }
 
-/// Rounds an exact finite nonzero value to binary32 under `mode`: to 24
-/// bits in the normal range, to e + 150 bits on the subnormal staircase
-/// (a fixed 2^-149 quantum), and to each mode's overflow result when the
-/// rounded magnitude reaches 2^128.
-sf::Float32 round_exact32(const bf::BigFloat& x, sf::Rounding mode) {
-  const bool neg = x.negative();
-  const std::uint32_t sign = neg ? kSign32 : 0;
-  const std::int64_t e = x.msb_exponent();  // |x| in [2^e, 2^(e+1))
-  const std::int64_t prec = e >= -126 ? 24 : e + 150;
-  if (prec <= 0) {  // |x| < 2^-149: zero or the smallest subnormal
-    bool away = false;
-    switch (mode) {
-      case sf::Rounding::kNearestEven:  // strictly above the 2^-150 tie
-        away = prec == 0 && x.significant_bits() > 1;
-        break;
-      case sf::Rounding::kNearestAway: away = prec == 0; break;
-      case sf::Rounding::kTowardZero: break;
-      case sf::Rounding::kUp: away = !neg; break;
-      case sf::Rounding::kDown: away = neg; break;
-    }
-    return sf::Float32{sign | (away ? 1u : 0u)};
-  }
-  const bf::BigFloat r = bf::BigFloat::add(
-      x, bf::BigFloat::zero(), bf::Context{static_cast<unsigned>(prec), mode});
-  if (r.msb_exponent() >= 128) {
-    const bool to_inf = mode == sf::Rounding::kNearestEven ||
-                        mode == sf::Rounding::kNearestAway ||
-                        (mode == sf::Rounding::kUp && !neg) ||
-                        (mode == sf::Rounding::kDown && neg);
-    return sf::Float32{sign | (to_inf ? 0x7F80'0000u : 0x7F7F'FFFFu)};
-  }
-  return sf::from_native(static_cast<float>(r.to_double()));  // exact
-}
-
 }  // namespace
 
 sf::Float32 ref_sqrt(sf::Float32 a, sf::Rounding mode) {
@@ -175,7 +141,7 @@ sf::Float32 ref_fma(sf::Float32 a, sf::Float32 b, sf::Float32 c,
   if (sum.is_zero()) {  // nonzero operands cancelled exactly
     return sf::Float32::zero(mode == sf::Rounding::kDown);
   }
-  return round_exact32(sum, mode);
+  return bf::round_to_format<32>(sum, mode);
 }
 
 sf::Float32 ref_round_to_integral(sf::Float32 a, sf::Rounding mode) {
@@ -418,6 +384,17 @@ constexpr std::uint32_t kCorner32[] = {
     0x387F'E001u,               // just above that tie
     0x38FF'F000u,               // b16 normal tie just under 2^-13
     0x38FF'E000u,               // exactly representable neighbour below
+    // Observed RTL sqrt failures: inputs on which a combinational binary32
+    // sqrt circuit (adachi6k/fp32-div-sqrt-combinational) disagreed with
+    // Berkeley SoftFloat in that project's testbench. Cheap escapes to
+    // keep: a correct sqrt has no reason to find them hard.
+    0x40E4'006Eu,               // 7.12505
+    0x016F'609Cu,               // 4.39667e-38
+    0x2812'C1B1u,               // 8.14663e-15
+    0x67BE'E97Du,               // 1.80311e+24
+    0x1AB8'2050u,               // 7.61528e-23
+    0x5904'2172u,               // 2.32447e+15
+    0x321B'BCDDu,               // 9.06513e-09
     // Infinity and NaN payload variants.
     0x7F80'0000u,               // +inf
     0x7F80'0001u,               // sNaN, minimum payload

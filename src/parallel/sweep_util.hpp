@@ -3,9 +3,10 @@
 // rounding-direction guard, and opaque hardware arithmetic.
 //
 // Everything here is header-only and dependency-free beyond softfloat's
-// Env, so both sweep translation units (and their tests) share one
-// definition of "run this op on the real FPU under this rounding mode"
-// instead of drifting copies.
+// Env. The hw_* helpers are the project's one definition of "run this op
+// on the real FPU under the ambient fenv state": the sweeps, ir's native
+// evaluators, native fault injection and the hardware-reference tests all
+// call them instead of keeping drifting copies.
 #pragma once
 
 #include <cfenv>
@@ -95,6 +96,25 @@ template <typename T>
 [[gnu::noinline]] T hw_fma(T a, T b, T c) {
   volatile T x = a, y = b, z = c;
   volatile T r = std::fma(x, y, z);
+  return r;
+}
+
+template <typename T>
+[[gnu::noinline]] bool hw_eq(T a, T b) {
+  volatile T x = a, y = b;
+  return x == y;
+}
+template <typename T>
+[[gnu::noinline]] bool hw_lt(T a, T b) {
+  volatile T x = a, y = b;
+  return x < y;
+}
+
+/// Host double -> float narrowing through the FPU: rounds under the
+/// ambient fenv direction and raises the conversion's own flags.
+[[gnu::noinline]] inline float hw_narrow(double a) {
+  volatile double x = a;
+  volatile float r = static_cast<float>(x);
   return r;
 }
 

@@ -271,4 +271,25 @@ TEST(BigFloat, UnderflowToDoubleSubnormalAndZero) {
   EXPECT_EQ(above.to_double(), 4.9406564584124654e-324);
 }
 
+TEST(BigFloat, RoundToFormatAtTheBinary16Edges) {
+  using R = fpq::softfloat::Rounding;
+  const auto b16 = [](double v, R mode) {
+    return bf::round_to_format<16>(bf::BigFloat::from_double(v), mode).bits;
+  };
+  // 65520 is the exact tie between max finite (65504) and overflow.
+  EXPECT_EQ(b16(65520.0, R::kNearestEven), 0x7C00u);
+  EXPECT_EQ(b16(65520.0, R::kTowardZero), 0x7BFFu);
+  EXPECT_EQ(b16(-65520.0, R::kUp), 0xFBFFu);
+  // 2^-25 is half the minimum subnormal: ties-to-even gives zero,
+  // ties-away the minimum subnormal; just above it rounds up in both.
+  EXPECT_EQ(b16(0x1p-25, R::kNearestEven), 0x0000u);
+  EXPECT_EQ(b16(0x1p-25, R::kNearestAway), 0x0001u);
+  EXPECT_EQ(b16(0x1.8p-25, R::kNearestEven), 0x0001u);
+  EXPECT_EQ(b16(-0x1p-30, R::kDown), 0x8001u);
+  // Subnormal staircase and normal range, one rounding each.
+  EXPECT_EQ(b16(0x1.8p-24, R::kNearestEven), 0x0002u);  // tie to even
+  EXPECT_EQ(b16(1.0 / 3.0, R::kNearestEven), 0x3555u);
+  EXPECT_EQ(b16(1.0 / 3.0, R::kUp), 0x3556u);
+}
+
 }  // namespace

@@ -1,39 +1,42 @@
 // The headline invariant of the quiz harness: the answer key is DERIVED BY
 // EXECUTION, and every IEEE-compliant backend — native double, native
 // float, softfloat at 64/32/16 bits — derives exactly the same key, which
-// matches the declared standard truths. Parameterized over backends.
+// matches the declared standard truths. Parameterized over the registry's
+// IEEE rows.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/ground_truth.hpp"
 
 namespace quiz = fpq::quiz;
 
+// gtest lists a parameter through PrintTo; printing the registry name (not
+// the row's bytes, which include a pointer) keeps test names stable.
+namespace fpq::quiz {
+void PrintTo(const BackendDescriptor& d, std::ostream* os) { *os << d.name; }
+}  // namespace fpq::quiz
+
 namespace {
 
-using Factory = std::unique_ptr<quiz::ArithmeticBackend> (*)();
+std::vector<quiz::BackendDescriptor> ieee_rows() {
+  std::vector<quiz::BackendDescriptor> out;
+  for (const auto& d : quiz::backend_registry()) {
+    if (!d.flush_to_zero && !d.denormals_are_zero) out.push_back(d);
+  }
+  return out;
+}
 
-struct BackendParam {
-  Factory make;
-  const char* name;
-};
-
-const BackendParam kBackends[] = {
-    {&quiz::make_native_double_backend, "native_double"},
-    {&quiz::make_native_float_backend, "native_float"},
-    {&quiz::make_soft_backend_64, "soft64"},
-    {&quiz::make_soft_backend_32, "soft32"},
-    {&quiz::make_soft_backend_16, "soft16"},
-    {&quiz::make_soft_backend_bf16, "bfloat16"},
-};
-
-class AnswerKeyOnBackend : public ::testing::TestWithParam<BackendParam> {};
+class AnswerKeyOnBackend
+    : public ::testing::TestWithParam<quiz::BackendDescriptor> {};
 
 TEST_P(AnswerKeyOnBackend, ExecutedKeyMatchesStandardTruths) {
-  auto backend = GetParam().make();
+  auto backend = quiz::make_backend(GetParam());
   const quiz::AnswerKey key = quiz::derive_answer_key(*backend);
   std::string mismatch;
   EXPECT_TRUE(quiz::key_matches_standard(key, &mismatch))
@@ -41,7 +44,7 @@ TEST_P(AnswerKeyOnBackend, ExecutedKeyMatchesStandardTruths) {
 }
 
 TEST_P(AnswerKeyOnBackend, EveryDemonstrationHasAWitness) {
-  auto backend = GetParam().make();
+  auto backend = quiz::make_backend(GetParam());
   const quiz::AnswerKey key = quiz::derive_answer_key(*backend);
   for (const auto& demo : key.core) {
     EXPECT_FALSE(demo.witness.empty());
@@ -51,10 +54,7 @@ TEST_P(AnswerKeyOnBackend, EveryDemonstrationHasAWitness) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllIeeeBackends, AnswerKeyOnBackend,
-                         ::testing::ValuesIn(kBackends),
-                         [](const auto& info) {
-                           return std::string(info.param.name);
-                         });
+                         ::testing::ValuesIn(ieee_rows()));
 
 TEST(AnswerKeyFtz, FtzBackendStillDerivesStandardKey) {
   // The FTZ/DAZ backend demonstrates different *witnesses* (flush instead
@@ -71,6 +71,15 @@ TEST(AnswerKeyFtz, FtzBackendStillDerivesStandardKey) {
           quiz::CoreQuestionId::kDenormalPrecision)];
   EXPECT_NE(denorm_demo.witness.find("flush"), std::string::npos)
       << denorm_demo.witness;
+}
+
+TEST(Backend, UnsupportedDescriptorIsRejected) {
+  EXPECT_THROW(quiz::make_backend({"softfloat-binary8", 8, false, false,
+                                   false}),
+               std::invalid_argument);
+  EXPECT_THROW(quiz::make_backend({"native-binary16", 16, true, false,
+                                   false}),
+               std::invalid_argument);
 }
 
 TEST(AnswerKey, StandardTruthArraysConsistent) {

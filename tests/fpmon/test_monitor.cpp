@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "fpmon/monitor.hpp"
+#include "parallel/sweep_util.hpp"
 #include "softfloat/ops.hpp"
 
 namespace mon = fpq::mon;
@@ -17,52 +18,40 @@ namespace sf = fpq::softfloat;
 namespace {
 
 // Opaque operations that really execute on the FPU.
-[[gnu::noinline]] double op_div(double a, double b) {
-  volatile double va = a, vb = b;
-  volatile double r = va / vb;
-  return r;
-}
-[[gnu::noinline]] double op_mul(double a, double b) {
-  volatile double va = a, vb = b;
-  volatile double r = va * vb;
-  return r;
-}
-[[gnu::noinline]] double op_add(double a, double b) {
-  volatile double va = a, vb = b;
-  volatile double r = va + vb;
-  return r;
-}
+using fpq::parallel::sweep_detail::hw_add;
+using fpq::parallel::sweep_detail::hw_div;
+using fpq::parallel::sweep_detail::hw_mul;
 
 TEST(Monitor, CleanRegionReportsNothing) {
-  const auto seen = mon::monitor_region([] { (void)op_add(1.0, 2.0); });
+  const auto seen = mon::monitor_region([] { (void)hw_add(1.0, 2.0); });
   EXPECT_FALSE(seen.any());
   EXPECT_EQ(seen.to_string(), "none");
 }
 
 TEST(Monitor, DetectsDivByZero) {
-  const auto seen = mon::monitor_region([] { (void)op_div(1.0, 0.0); });
+  const auto seen = mon::monitor_region([] { (void)hw_div(1.0, 0.0); });
   EXPECT_TRUE(seen.test(mon::Condition::kDivByZero));
   EXPECT_FALSE(seen.test(mon::Condition::kInvalid));
 }
 
 TEST(Monitor, DetectsInvalid) {
-  const auto seen = mon::monitor_region([] { (void)op_div(0.0, 0.0); });
+  const auto seen = mon::monitor_region([] { (void)hw_div(0.0, 0.0); });
   EXPECT_TRUE(seen.test(mon::Condition::kInvalid));
 }
 
 TEST(Monitor, DetectsOverflowAndPrecision) {
-  const auto seen = mon::monitor_region([] { (void)op_mul(1e300, 1e300); });
+  const auto seen = mon::monitor_region([] { (void)hw_mul(1e300, 1e300); });
   EXPECT_TRUE(seen.test(mon::Condition::kOverflow));
   EXPECT_TRUE(seen.test(mon::Condition::kPrecision));
 }
 
 TEST(Monitor, DetectsUnderflow) {
-  const auto seen = mon::monitor_region([] { (void)op_mul(1e-300, 1e-300); });
+  const auto seen = mon::monitor_region([] { (void)hw_mul(1e-300, 1e-300); });
   EXPECT_TRUE(seen.test(mon::Condition::kUnderflow));
 }
 
 TEST(Monitor, DetectsPrecisionAlone) {
-  const auto seen = mon::monitor_region([] { (void)op_div(1.0, 3.0); });
+  const auto seen = mon::monitor_region([] { (void)hw_div(1.0, 3.0); });
   EXPECT_TRUE(seen.test(mon::Condition::kPrecision));
   EXPECT_FALSE(seen.test(mon::Condition::kOverflow));
   EXPECT_FALSE(seen.test(mon::Condition::kInvalid));
@@ -71,7 +60,7 @@ TEST(Monitor, DetectsPrecisionAlone) {
 TEST(Monitor, DetectsDenormalOperandWhenSupported) {
   mon::ScopedMonitor monitor;
   if (!monitor.tracks_denormals()) GTEST_SKIP() << "no MXCSR on this host";
-  (void)op_mul(4.9406564584124654e-324, 2.0);  // subnormal operand
+  (void)hw_mul(4.9406564584124654e-324, 2.0);  // subnormal operand
   const auto seen = monitor.stop();
   EXPECT_TRUE(seen.test(mon::Condition::kDenorm));
 }
@@ -80,7 +69,7 @@ TEST(Monitor, InnerScopeDoesNotHideFromOuter) {
   mon::ScopedMonitor outer;
   {
     mon::ScopedMonitor inner;
-    (void)op_div(1.0, 0.0);
+    (void)hw_div(1.0, 0.0);
     const auto inner_seen = inner.stop();
     EXPECT_TRUE(inner_seen.test(mon::Condition::kDivByZero));
   }
@@ -91,7 +80,7 @@ TEST(Monitor, InnerScopeDoesNotHideFromOuter) {
 
 TEST(Monitor, InnerScopeStartsClean) {
   mon::ScopedMonitor outer;
-  (void)op_div(1.0, 0.0);
+  (void)hw_div(1.0, 0.0);
   {
     mon::ScopedMonitor inner;
     const auto inner_seen = inner.stop();
@@ -103,7 +92,7 @@ TEST(Monitor, InnerScopeStartsClean) {
 
 TEST(Monitor, RestoresPreexistingFlags) {
   std::feclearexcept(FE_ALL_EXCEPT);
-  (void)op_div(1.0, 0.0);  // raise divbyzero before any monitor
+  (void)hw_div(1.0, 0.0);  // raise divbyzero before any monitor
   {
     mon::ScopedMonitor monitor;
     (void)monitor.stop();
@@ -115,9 +104,9 @@ TEST(Monitor, RestoresPreexistingFlags) {
 
 TEST(Monitor, PeekWithoutStopping) {
   mon::ScopedMonitor monitor;
-  (void)op_div(0.0, 0.0);
+  (void)hw_div(0.0, 0.0);
   EXPECT_TRUE(monitor.peek().test(mon::Condition::kInvalid));
-  (void)op_div(1.0, 0.0);
+  (void)hw_div(1.0, 0.0);
   const auto seen = monitor.stop();
   EXPECT_TRUE(seen.test(mon::Condition::kInvalid));
   EXPECT_TRUE(seen.test(mon::Condition::kDivByZero));
@@ -125,9 +114,9 @@ TEST(Monitor, PeekWithoutStopping) {
 
 TEST(Monitor, StopIsIdempotent) {
   mon::ScopedMonitor monitor;
-  (void)op_div(0.0, 0.0);
+  (void)hw_div(0.0, 0.0);
   const auto first = monitor.stop();
-  (void)op_div(1.0, 0.0);  // after stop: not recorded
+  (void)hw_div(1.0, 0.0);  // after stop: not recorded
   const auto second = monitor.stop();
   EXPECT_EQ(first, second);
   std::feclearexcept(FE_ALL_EXCEPT);
@@ -169,11 +158,11 @@ TEST(Monitor, ThrowInsideNestedMonitorUnwindsSafely) {
   mon::ScopedMonitor outer;
   try {
     mon::ScopedMonitor inner;
-    (void)op_div(1.0, 0.0);
+    (void)hw_div(1.0, 0.0);
     throw std::runtime_error("mid-region failure");
   } catch (const std::runtime_error&) {
   }
-  (void)op_div(1.0, 3.0);  // the outer region keeps monitoring after unwind
+  (void)hw_div(1.0, 3.0);  // the outer region keeps monitoring after unwind
   const auto outer_seen = outer.stop();
   EXPECT_TRUE(outer_seen.test(mon::Condition::kDivByZero))
       << "inner conditions must survive exceptional unwind";
@@ -189,7 +178,7 @@ TEST(Monitor, MonitorRegionCaptureOverloadSurvivesThrow) {
   try {
     mon::monitor_region(
         [] {
-          (void)op_div(0.0, 0.0);
+          (void)hw_div(0.0, 0.0);
           throw std::runtime_error("simulation blew up");
         },
         seen);
@@ -203,8 +192,8 @@ TEST(Monitor, MonitorRegionCaptureOverloadSurvivesThrow) {
 
 TEST(Monitor, MonitorRegionCaptureMatchesReturningOverload) {
   mon::ConditionSet captured;
-  mon::monitor_region([] { (void)op_div(1.0, 0.0); }, captured);
-  const auto returned = mon::monitor_region([] { (void)op_div(1.0, 0.0); });
+  mon::monitor_region([] { (void)hw_div(1.0, 0.0); }, captured);
+  const auto returned = mon::monitor_region([] { (void)hw_div(1.0, 0.0); });
   EXPECT_EQ(captured, returned);
 }
 
@@ -213,8 +202,8 @@ TEST(Monitor, SuspicionQuizShape) {
   // which of the five conditions occurred one or more times.
   const auto seen = mon::monitor_region([] {
     double acc = 1.0;
-    for (int i = 0; i < 400; ++i) acc = op_mul(acc, 10.0);   // -> overflow
-    (void)op_add(acc, -acc);                                  // inf - inf
+    for (int i = 0; i < 400; ++i) acc = hw_mul(acc, 10.0);   // -> overflow
+    (void)hw_add(acc, -acc);                                  // inf - inf
   });
   EXPECT_TRUE(seen.test(mon::Condition::kOverflow));
   EXPECT_TRUE(seen.test(mon::Condition::kInvalid));

@@ -122,10 +122,7 @@ TEST(BatchEvaluate, PerRowFlagsAreIsolated) {
   const E tree = E::div(E::constant(1.0), x);
   ir::BindingTable table;
   table.width = 1;
-  const std::array<double, 1> zero{0.0};
-  const std::array<double, 1> two{2.0};
-  table.push_row(zero);
-  table.push_row(two);
+  table.values = {0.0, 2.0};  // row 0: x = 0, row 1: x = 2
   pl::ThreadPool pool(2);
   ir::BatchOptions opts;
   opts.memoize = false;

@@ -2,23 +2,26 @@
 // (rewrite passes + SoftEvaluator) is BIT-IDENTICAL — values and sticky
 // flags — to the legacy emulated-pipeline evaluator it replaced, across
 // random expressions, every pipeline configuration, and all five rounding
-// modes; the backend tree evaluator reproduces direct backend-op
-// sequences including their ConditionSets; and the quiz answer key
-// derived through the IR path still matches the declared standard.
+// modes; the host-FPU and softfloat backends agree bit for bit, condition
+// for condition, on the same trees; and the quiz answer key derived
+// through the IR path still matches the declared standard.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
-#include "core/backend_eval.hpp"
 #include "core/ground_truth.hpp"
+#include "fpmon/monitor.hpp"
 #include "ir/ir.hpp"
 #include "optprobe/emulated_pipeline.hpp"
 #include "softfloat/env.hpp"
@@ -26,6 +29,7 @@
 #include "stats/prng.hpp"
 
 namespace ir = fpq::ir;
+namespace mon = fpq::mon;
 namespace sf = fpq::softfloat;
 namespace st = fpq::stats;
 namespace quiz = fpq::quiz;
@@ -275,49 +279,72 @@ TEST(IrVsLegacy, OptprobeFacadeMatchesLegacyOnItsOwnDemos) {
 }
 
 // ---------------------------------------------------------------------
-// Backend differential: evaluating a tree through BackendEvaluator is the
-// same op sequence a hand-written loop would issue — same result bits,
-// same accumulated ConditionSet — on EVERY backend in the registry.
+// Hardware vs softfloat: the same tree on the same operands, once on the
+// host FPU and once on the softfloat engine in the same format, gives the
+// same bits (any NaN matches any NaN: payloads are implementation-defined)
+// and raises the same five IEEE conditions.
 // ---------------------------------------------------------------------
 
-TEST(IrVsBackends, TreeEvaluationMatchesDirectOpSequences) {
+TEST(IrHardwareVsSoftfloat, NativeAndSoftBackendsAgreeOnValuesAndConditions) {
   const double pool[] = {0.0,  -0.0, 1.0,   0.1,  -2.5,
                          1e16, 3.0,  7.25,  1e300, 1e-300};
   const auto x = E::variable("x", 0);
   const auto y = E::variable("y", 1);
   const auto z = E::variable("z", 2);
-  // fma(x, y, z) + sqrt(x*x) - y/z : touches every new virtual.
+  // fma(x, y, z) + sqrt(x*x) - y/z: every arithmetic hook.
   const auto tree =
       E::sub(E::add(E::fma(x, y, z), E::sqrt(E::mul(x, x))), E::div(y, z));
-  for (const auto& backend : quiz::make_all_backends()) {
+  // kDenorm is left out: the host reports it from the MXCSR DE bit.
+  const auto ieee_only = [](const mon::ConditionSet& c) {
+    mon::ConditionSet out;
+    for (const auto k : {mon::Condition::kOverflow, mon::Condition::kUnderflow,
+                         mon::Condition::kPrecision, mon::Condition::kInvalid,
+                         mon::Condition::kDivByZero}) {
+      if (c.test(k)) out.set(k);
+    }
+    return out;
+  };
+  const std::pair<std::unique_ptr<quiz::ArithmeticBackend>,
+                  std::unique_ptr<quiz::ArithmeticBackend>>
+      pairs[] = {
+          {quiz::make_native_double_backend(), quiz::make_soft_backend_64()},
+          {quiz::make_native_float_backend(), quiz::make_soft_backend_32()},
+      };
+  for (const auto& [native, soft] : pairs) {
     st::Xoshiro256pp g(0xBEEF);
-    for (int i = 0; i < 64; ++i) {
-      const double xs[] = {pool[st::uniform_below(g, std::size(pool))],
-                           pool[st::uniform_below(g, std::size(pool))],
-                           pool[st::uniform_below(g, std::size(pool))]};
-      (void)backend->take_conditions();
-      const double via_tree = fpq::quiz::evaluate_on_backend(
-          *backend, tree, std::span<const double>(xs));
-      const auto tree_conditions = backend->take_conditions();
-      const double f = backend->fma(xs[0], xs[1], xs[2]);
-      const double s = backend->sqrt(backend->mul(xs[0], xs[0]));
-      const double q = backend->div(xs[1], xs[2]);
-      const double direct = backend->sub(backend->add(f, s), q);
-      const auto direct_conditions = backend->take_conditions();
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(via_tree),
-                std::bit_cast<std::uint64_t>(direct))
-          << backend->name() << " x=" << xs[0] << " y=" << xs[1]
-          << " z=" << xs[2];
-      ASSERT_EQ(tree_conditions, direct_conditions)
-          << backend->name() << ": " << tree_conditions.to_string()
-          << " vs " << direct_conditions.to_string();
+    for (int i = 0; i < 256; ++i) {
+      // Operands enter already in the format, so neither side's
+      // narrowing of a binding contributes a condition.
+      const double xs[] = {
+          soft->canonicalize(pool[st::uniform_below(g, std::size(pool))]),
+          soft->canonicalize(pool[st::uniform_below(g, std::size(pool))]),
+          soft->canonicalize(pool[st::uniform_below(g, std::size(pool))])};
+      (void)native->take_conditions();
+      (void)soft->take_conditions();
+      const double hw = native->evaluate(tree, xs);
+      const double sw = soft->evaluate(tree, xs);
+      const auto hw_conditions = ieee_only(native->take_conditions());
+      const auto sw_conditions = ieee_only(soft->take_conditions());
+      if (std::isnan(hw) || std::isnan(sw)) {
+        ASSERT_TRUE(std::isnan(hw) && std::isnan(sw))
+            << native->name() << " " << hw << " vs " << soft->name() << " "
+            << sw << " at x=" << xs[0] << " y=" << xs[1] << " z=" << xs[2];
+      } else {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(hw),
+                  std::bit_cast<std::uint64_t>(sw))
+            << native->name() << " x=" << xs[0] << " y=" << xs[1]
+            << " z=" << xs[2];
+      }
+      ASSERT_EQ(hw_conditions, sw_conditions)
+          << native->name() << ": " << hw_conditions.to_string() << " vs "
+          << sw_conditions.to_string();
     }
   }
 }
 
 // ---------------------------------------------------------------------
 // The answer key: ground truth is now derived by executing IR trees on
-// each backend (witness.cpp evaluates through BackendEvaluator), and the
+// each backend (witness.cpp evaluates through ArithmeticBackend), and the
 // executed key must still match the declared standard truths everywhere —
 // the FTZ backend included, whose divergence lives in its witnesses.
 // ---------------------------------------------------------------------

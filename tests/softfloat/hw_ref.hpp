@@ -6,31 +6,20 @@
 #include <cfenv>
 #include <cstdint>
 
+#include "parallel/sweep_util.hpp"
 #include "softfloat/env.hpp"
 
 namespace fpq::test {
 
-/// Maps a softfloat rounding mode to the host's fenv constant; returns
-/// false for modes the hardware cannot express (roundTiesToAway).
-inline bool to_fenv_rounding(softfloat::Rounding r, int& out) {
-  switch (r) {
-    case softfloat::Rounding::kNearestEven:
-      out = FE_TONEAREST;
-      return true;
-    case softfloat::Rounding::kTowardZero:
-      out = FE_TOWARDZERO;
-      return true;
-    case softfloat::Rounding::kDown:
-      out = FE_DOWNWARD;
-      return true;
-    case softfloat::Rounding::kUp:
-      out = FE_UPWARD;
-      return true;
-    case softfloat::Rounding::kNearestAway:
-      return false;
-  }
-  return false;
-}
+// The project's opaque host arithmetic (noinline + volatile operands).
+using parallel::sweep_detail::hw_add;
+using parallel::sweep_detail::hw_div;
+using parallel::sweep_detail::hw_fma;
+using parallel::sweep_detail::hw_mul;
+using parallel::sweep_detail::hw_narrow;
+using parallel::sweep_detail::hw_sqrt;
+using parallel::sweep_detail::hw_sub;
+using parallel::sweep_detail::hw_widen_f32;
 
 /// Translates raised fenv flags into softfloat Flag bits (the five standard
 /// exceptions only; kFlagDenormalInput has no portable fenv equivalent).
@@ -51,72 +40,16 @@ struct HwResult {
   unsigned flags = 0;  ///< softfloat Flag bits
 };
 
-/// RAII rounding-mode guard for the host fenv.
-class ScopedHwRounding {
- public:
-  explicit ScopedHwRounding(int mode) : saved_(fegetround()) {
-    fesetround(mode);
-  }
-  ~ScopedHwRounding() { fesetround(saved_); }
-  ScopedHwRounding(const ScopedHwRounding&) = delete;
-  ScopedHwRounding& operator=(const ScopedHwRounding&) = delete;
-
- private:
-  int saved_;
-};
-
 /// Runs `op` (a callable returning T) with clean sticky flags under the
 /// given fenv rounding mode and captures value + flags. The callable must
-/// keep its operands opaque to the optimizer (the helpers below do).
+/// keep its operands opaque to the optimizer (the hw_* helpers do).
 template <typename T, typename Op>
 HwResult<T> run_hw(int fenv_rounding, Op&& op) {
-  ScopedHwRounding guard(fenv_rounding);
+  parallel::sweep_detail::ScopedFenvRounding guard(fenv_rounding);
   std::feclearexcept(FE_ALL_EXCEPT);
   HwResult<T> r;
   r.value = op();
   r.flags = from_fenv_flags(std::fetestexcept(FE_ALL_EXCEPT));
-  return r;
-}
-
-// Opaque arithmetic helpers: noinline + volatile operands defeat constant
-// folding so the operations really execute under the runtime fenv state.
-#define FPQ_HW_BINOP(NAME, TYPE, EXPR)                              \
-  [[gnu::noinline]] inline TYPE NAME(TYPE a, TYPE b) {              \
-    volatile TYPE va = a;                                           \
-    volatile TYPE vb = b;                                           \
-    volatile TYPE r = EXPR;                                         \
-    return r;                                                       \
-  }
-
-FPQ_HW_BINOP(hw_add_f, float, va + vb)
-FPQ_HW_BINOP(hw_sub_f, float, va - vb)
-FPQ_HW_BINOP(hw_mul_f, float, va * vb)
-FPQ_HW_BINOP(hw_div_f, float, va / vb)
-FPQ_HW_BINOP(hw_add_d, double, va + vb)
-FPQ_HW_BINOP(hw_sub_d, double, va - vb)
-FPQ_HW_BINOP(hw_mul_d, double, va * vb)
-FPQ_HW_BINOP(hw_div_d, double, va / vb)
-
-#undef FPQ_HW_BINOP
-
-[[gnu::noinline]] inline float hw_sqrt_f(float a) {
-  volatile float va = a;
-  volatile float r = __builtin_sqrtf(va);
-  return r;
-}
-[[gnu::noinline]] inline double hw_sqrt_d(double a) {
-  volatile double va = a;
-  volatile double r = __builtin_sqrt(va);
-  return r;
-}
-[[gnu::noinline]] inline float hw_fma_f(float a, float b, float c) {
-  volatile float va = a, vb = b, vc = c;
-  volatile float r = __builtin_fmaf(va, vb, vc);
-  return r;
-}
-[[gnu::noinline]] inline double hw_fma_d(double a, double b, double c) {
-  volatile double va = a, vb = b, vc = c;
-  volatile double r = __builtin_fma(va, vb, vc);
   return r;
 }
 

@@ -154,7 +154,7 @@ TEST(Binary16Exhaustive, SqrtExhaustiveUnderAllFiveRoundingModes) {
 
 TEST(Binary16Exhaustive, FmaAllFirstOperandsUnderAllFiveRoundingModes) {
   // Every first-operand encoding x seeded (b, c) partners x five modes,
-  // against the exact product + TwoSum + round-to-odd reference.
+  // against the exact bigfloat a*b + c rounded once to binary16.
   fpq::parallel::ThreadPool pool;
   fpq::parallel::ExhaustiveConfig config;
   config.ops = {fpq::parallel::SweepOp::kFma};

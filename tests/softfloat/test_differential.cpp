@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "hw_ref.hpp"  // NOLINT(build/include_subdir) — test-local helper
@@ -78,11 +79,15 @@ struct ModeParam {
 };
 
 const ModeParam kModes[] = {
-    {sf::Rounding::kNearestEven, FE_TONEAREST, "nearest-even"},
-    {sf::Rounding::kTowardZero, FE_TOWARDZERO, "toward-zero"},
+    {sf::Rounding::kNearestEven, FE_TONEAREST, "nearest_even"},
+    {sf::Rounding::kTowardZero, FE_TOWARDZERO, "toward_zero"},
     {sf::Rounding::kDown, FE_DOWNWARD, "downward"},
     {sf::Rounding::kUp, FE_UPWARD, "upward"},
 };
+
+// gtest lists a parameter through PrintTo; printing the mode name (not
+// the struct's bytes, which include a pointer) keeps test names stable.
+void PrintTo(const ModeParam& mode, std::ostream* os) { *os << mode.name; }
 
 class DifferentialF64 : public ::testing::TestWithParam<ModeParam> {};
 class DifferentialF32 : public ::testing::TestWithParam<ModeParam> {};
@@ -151,28 +156,28 @@ TEST_P(DifferentialF64, Add) {
   check_f64(
       GetParam(), 0xADD0001,
       [](auto a, auto b, sf::Env& e) { return sf::add(a, b, e); },
-      fpq::test::hw_add_d, "add64");
+      fpq::test::hw_add<double>, "add64");
 }
 
 TEST_P(DifferentialF64, Sub) {
   check_f64(
       GetParam(), 0x50B0002,
       [](auto a, auto b, sf::Env& e) { return sf::sub(a, b, e); },
-      fpq::test::hw_sub_d, "sub64");
+      fpq::test::hw_sub<double>, "sub64");
 }
 
 TEST_P(DifferentialF64, Mul) {
   check_f64(
       GetParam(), 0x3010003,
       [](auto a, auto b, sf::Env& e) { return sf::mul(a, b, e); },
-      fpq::test::hw_mul_d, "mul64");
+      fpq::test::hw_mul<double>, "mul64");
 }
 
 TEST_P(DifferentialF64, Div) {
   check_f64(
       GetParam(), 0xD140004,
       [](auto a, auto b, sf::Env& e) { return sf::div(a, b, e); },
-      fpq::test::hw_div_d, "div64");
+      fpq::test::hw_div<double>, "div64");
 }
 
 TEST_P(DifferentialF64, Sqrt) {
@@ -183,7 +188,7 @@ TEST_P(DifferentialF64, Sqrt) {
     sf::Env env(mode.soft);
     const sf::Float64 soft = sf::sqrt(sf::Float64{abits}, env);
     const auto hw = run_hw<double>(mode.hard, [&] {
-      return fpq::test::hw_sqrt_d(std::bit_cast<double>(abits));
+      return fpq::test::hw_sqrt<double>(std::bit_cast<double>(abits));
     });
     const std::uint64_t hw_bits = std::bit_cast<std::uint64_t>(hw.value);
     const bool both_nan = soft.is_nan() && std::isnan(hw.value);
@@ -207,7 +212,7 @@ TEST_P(DifferentialF64, Fma) {
         sf::fma(sf::Float64{abits}, sf::Float64{bbits}, sf::Float64{cbits},
                 env);
     const auto hw = run_hw<double>(mode.hard, [&] {
-      return fpq::test::hw_fma_d(std::bit_cast<double>(abits),
+      return fpq::test::hw_fma<double>(std::bit_cast<double>(abits),
                                  std::bit_cast<double>(bbits),
                                  std::bit_cast<double>(cbits));
     });
@@ -236,28 +241,28 @@ TEST_P(DifferentialF32, Add) {
   check_f32(
       GetParam(), 0xADD1001,
       [](auto a, auto b, sf::Env& e) { return sf::add(a, b, e); },
-      fpq::test::hw_add_f, "add32");
+      fpq::test::hw_add<float>, "add32");
 }
 
 TEST_P(DifferentialF32, Sub) {
   check_f32(
       GetParam(), 0x50B1002,
       [](auto a, auto b, sf::Env& e) { return sf::sub(a, b, e); },
-      fpq::test::hw_sub_f, "sub32");
+      fpq::test::hw_sub<float>, "sub32");
 }
 
 TEST_P(DifferentialF32, Mul) {
   check_f32(
       GetParam(), 0x3011003,
       [](auto a, auto b, sf::Env& e) { return sf::mul(a, b, e); },
-      fpq::test::hw_mul_f, "mul32");
+      fpq::test::hw_mul<float>, "mul32");
 }
 
 TEST_P(DifferentialF32, Div) {
   check_f32(
       GetParam(), 0xD141004,
       [](auto a, auto b, sf::Env& e) { return sf::div(a, b, e); },
-      fpq::test::hw_div_f, "div32");
+      fpq::test::hw_div<float>, "div32");
 }
 
 TEST_P(DifferentialF32, Sqrt) {
@@ -268,7 +273,7 @@ TEST_P(DifferentialF32, Sqrt) {
     sf::Env env(mode.soft);
     const sf::Float32 soft = sf::sqrt(sf::Float32{abits}, env);
     const auto hw = run_hw<float>(mode.hard, [&] {
-      return fpq::test::hw_sqrt_f(std::bit_cast<float>(abits));
+      return fpq::test::hw_sqrt<float>(std::bit_cast<float>(abits));
     });
     const std::uint32_t hw_bits = std::bit_cast<std::uint32_t>(hw.value);
     const bool both_nan = soft.is_nan() && std::isnan(hw.value);
@@ -291,7 +296,7 @@ TEST_P(DifferentialF32, Fma) {
         sf::fma(sf::Float32{abits}, sf::Float32{bbits}, sf::Float32{cbits},
                 env);
     const auto hw = run_hw<float>(mode.hard, [&] {
-      return fpq::test::hw_fma_f(std::bit_cast<float>(abits),
+      return fpq::test::hw_fma<float>(std::bit_cast<float>(abits),
                                  std::bit_cast<float>(bbits),
                                  std::bit_cast<float>(cbits));
     });
@@ -339,16 +344,16 @@ TEST(DifferentialSubnormal, DenseSweepAllOpsAllModes) {
       static const Case kCases[] = {
           {"add", [](sf::Float64 a, sf::Float64 b,
                      sf::Env& e) { return sf::add(a, b, e); },
-           fpq::test::hw_add_d},
+           fpq::test::hw_add<double>},
           {"sub", [](sf::Float64 a, sf::Float64 b,
                      sf::Env& e) { return sf::sub(a, b, e); },
-           fpq::test::hw_sub_d},
+           fpq::test::hw_sub<double>},
           {"mul", [](sf::Float64 a, sf::Float64 b,
                      sf::Env& e) { return sf::mul(a, b, e); },
-           fpq::test::hw_mul_d},
+           fpq::test::hw_mul<double>},
           {"div", [](sf::Float64 a, sf::Float64 b,
                      sf::Env& e) { return sf::div(a, b, e); },
-           fpq::test::hw_div_d},
+           fpq::test::hw_div<double>},
       };
       for (const Case& c : kCases) {
         sf::Env env(mode.soft);
@@ -381,9 +386,7 @@ TEST(DifferentialConvert, NarrowDoubleToFloatMatchesHardware) {
       sf::Env env(mode.soft);
       const sf::Float32 soft = sf::convert<32>(sf::Float64{abits}, env);
       const auto hw = run_hw<float>(mode.hard, [&] {
-        volatile double a = std::bit_cast<double>(abits);
-        volatile float r = static_cast<float>(a);
-        return r;
+        return fpq::test::hw_narrow(std::bit_cast<double>(abits));
       });
       const std::uint32_t hw_bits = std::bit_cast<std::uint32_t>(hw.value);
       const bool both_nan = soft.is_nan() && std::isnan(hw.value);
@@ -404,9 +407,7 @@ TEST(DifferentialConvert, WidenFloatToDoubleMatchesHardware) {
     sf::Env env;
     const sf::Float64 soft = sf::convert<64>(sf::Float32{abits}, env);
     const auto hw = run_hw<double>(FE_TONEAREST, [&] {
-      volatile float a = std::bit_cast<float>(abits);
-      volatile double r = static_cast<double>(a);
-      return r;
+      return fpq::test::hw_widen_f32(std::bit_cast<float>(abits));
     });
     const std::uint64_t hw_bits = std::bit_cast<std::uint64_t>(hw.value);
     const bool both_nan = soft.is_nan() && std::isnan(hw.value);
@@ -419,21 +420,9 @@ TEST(DifferentialConvert, WidenFloatToDoubleMatchesHardware) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRoundingModes, DifferentialF64,
-                         ::testing::ValuesIn(kModes),
-                         [](const auto& info) {
-                           std::string n = info.param.name;
-                           for (auto& c : n)
-                             if (c == '-') c = '_';
-                           return n;
-                         });
+                         ::testing::ValuesIn(kModes));
 
 INSTANTIATE_TEST_SUITE_P(AllRoundingModes, DifferentialF32,
-                         ::testing::ValuesIn(kModes),
-                         [](const auto& info) {
-                           std::string n = info.param.name;
-                           for (auto& c : n)
-                             if (c == '-') c = '_';
-                           return n;
-                         });
+                         ::testing::ValuesIn(kModes));
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST(RoundToIntegral, SpecialsPassThrough) {
 
 TEST(RoundToIntegral, DifferentialVsNearbyint) {
   st::Xoshiro256pp g(0x21E4);
-  const fpq::test::ScopedHwRounding guard(FE_TONEAREST);
+  const fpq::parallel::sweep_detail::ScopedFenvRounding guard(FE_TONEAREST);
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t frac = g() & 0x000FFFFFFFFFFFFFULL;
     const std::uint64_t exp = 1023 - 5 + st::uniform_below(g, 60);
